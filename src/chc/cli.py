@@ -12,22 +12,11 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
-from . import experiments
-from .potential import Potential, double_well
+from . import __version__, experiments
+from .potential import Potential
 from .spectral import DomainSpec
-
-__version__ = "0.1.0"
-
-STUDIES = (
-    "run",
-    "study-det",
-    "study-det-deriv",
-    "study-stoch-conv",
-    "study-strong",
-    "study-moments",
-    "probe-holder",
-)
 
 # key -> (type, default); None default means "required" or study-specific
 _SCHEMA = {
@@ -66,11 +55,10 @@ class Bundle:
 
     @property
     def domain_spec(self) -> DomainSpec:
-        if self.values["domain"] == "interval":
-            return DomainSpec.interval(self.values["L"])
-        if self.values["domain"] == "rectangle":
-            return DomainSpec.rectangle(self.values["Lx"], self.values["Ly"])
-        raise ValueError(f"unknown domain {self.values['domain']!r}")
+        kind = self.values["domain"]
+        if kind not in _LENGTH_KEYS:
+            raise ValueError(f"unknown domain {kind!r}")
+        return DomainSpec(kind, tuple(self.values[k] for k in _LENGTH_KEYS[kind]))
 
     @property
     def potential_obj(self) -> Potential:
@@ -80,6 +68,74 @@ class Bundle:
     @property
     def x0_coeffs(self) -> tuple:
         return tuple(float(v) for v in self.values["x0"].split(","))
+
+
+_LENGTH_KEYS = {"interval": ("L",), "rectangle": ("Lx", "Ly")}
+
+_RUN_HEADER = ("step", "t", "mass_deviation", "J", "Y_h1", "newton_iters")
+
+
+@dataclass(frozen=True)
+class Study:
+    """One CLI study: the ``chc.experiments`` function it calls and the config keys it reads.
+
+    ``kwargs`` maps a bundle that holds only the domain keys and ``keys`` to
+    the function's keyword arguments; the domain is passed as ``domain``.
+    The function is named, not held, so that it is looked up on the module
+    when the study runs.
+    """
+
+    function: str
+    keys: tuple = ()
+    kwargs: Callable[[Bundle], dict] = lambda b: {}
+
+
+# Keys of every study that marches the nonlinear scheme along a noise path.
+_PATH_KEYS = ("T", "sigma", "r", "J", "seed", "potential", "x0")
+
+
+def _path_kwargs(b: Bundle) -> dict:
+    return dict(
+        T=b.T, sigma=b.sigma, r=b.r, J=b.J, seed=b.seed,
+        pot=b.potential_obj, x0_coeffs=b.x0_coeffs,
+    )
+
+
+STUDIES = {
+    "run": Study(
+        "single_run",
+        ("n", "N", *_PATH_KEYS),
+        lambda b: dict(n=b.n, N=b.N, **_path_kwargs(b)),
+    ),
+    "study-det": Study("det_linear_rate_study"),
+    "study-det-deriv": Study("det_derivative_rate_study"),
+    "study-stoch-conv": Study(
+        "stoch_conv_rate_study",
+        ("r", "sigma", "M", "seed"),
+        lambda b: dict(r=b.r, sigma=b.sigma, M=b.M, seed=b.seed),
+    ),
+    "study-strong": Study(
+        "strong_convergence_study",
+        ("n", "N", "levels", "factor", "M", "workers", *_PATH_KEYS),
+        lambda b: dict(
+            finest=(b.n, b.N), n_levels=b.levels, factor=b.factor, M=b.M,
+            workers=b.workers, **_path_kwargs(b),
+        ),
+    ),
+    "study-moments": Study(
+        "moment_bound_study",
+        ("n", "N", "M", "workers", *_PATH_KEYS),
+        lambda b: dict(
+            ladder=tuple((b.n * 2**i, b.N * 2**i) for i in range(3)), M=b.M,
+            workers=b.workers, **_path_kwargs(b),
+        ),
+    ),
+    "probe-holder": Study(
+        "holder_probe",
+        ("n", "N", *_PATH_KEYS),
+        lambda b: dict(n=b.n, N_fine=b.N, **_path_kwargs(b)),
+    ),
+}
 
 
 def parse_config(path: str | None, overrides: dict | None = None) -> Bundle:
@@ -125,9 +181,16 @@ def parse_config(path: str | None, overrides: dict | None = None) -> Bundle:
     return Bundle(values)
 
 
+def _read_keys(bundle: Bundle) -> list:
+    """Config keys the bundle's study reads: the study, its domain and its table keys."""
+    lengths = _LENGTH_KEYS.get(bundle.values["domain"], ())
+    return sorted({"study", "domain", *lengths, *STUDIES[bundle.study].keys})
+
+
 def write_run_manifest(bundle: Bundle, outdir: str, csv_name: str) -> str:
+    """manifest.txt: version, timestamp, the config keys the study reads, the CSV name."""
     entries = {"artifact_version": __version__, "timestamp": f"{time.time():.0f}"}
-    entries.update({k: bundle.values[k] for k in sorted(bundle.values)})
+    entries.update({k: bundle.values[k] for k in _read_keys(bundle)})
     entries["output_csv"] = csv_name
     path = os.path.join(outdir, "manifest.txt")
     experiments.write_manifest(path, entries)
@@ -140,89 +203,17 @@ def dispatch(bundle: Bundle, outdir: str) -> int:
     study = bundle.study
     csv_name = f"{study}.csv"
     write_run_manifest(bundle, outdir, csv_name)
-    domain = bundle.domain_spec
-    pot = bundle.potential_obj
-
+    entry = STUDIES[study]
+    # The study sees only the keys its table entry names.
+    view = Bundle({k: bundle.values[k] for k in _read_keys(bundle)})
+    fn = getattr(experiments, entry.function)  # looked up now, not at import
+    out = fn(domain=view.domain_spec, **entry.kwargs(view))
     if study == "run":
-        report, rows = experiments.single_run(
-            domain=domain,
-            n=bundle.n,
-            N=bundle.N,
-            T=bundle.T,
-            sigma=bundle.sigma,
-            r=bundle.r,
-            J=bundle.J,
-            seed=bundle.seed,
-            pot=pot,
-            x0_coeffs=bundle.x0_coeffs,
-        )
-        experiments.write_csv(
-            os.path.join(outdir, csv_name),
-            ("step", "t", "mass_deviation", "J", "Y_h1", "newton_iters"),
-            rows,
-        )
-    elif study == "study-det":
-        report = experiments.det_linear_rate_study(domain=domain)
-    elif study == "study-det-deriv":
-        report = experiments.det_derivative_rate_study(domain=domain)
-    elif study == "study-stoch-conv":
-        report = experiments.stoch_conv_rate_study(
-            domain=domain, r=bundle.r, sigma=bundle.sigma, M=bundle.M, seed=bundle.seed
-        )
-    elif study == "study-strong":
-        report = experiments.strong_convergence_study(
-            domain=domain,
-            finest=(bundle.n, bundle.N),
-            n_levels=bundle.levels,
-            factor=bundle.factor,
-            T=bundle.T,
-            M=bundle.M,
-            sigma=bundle.sigma,
-            r=bundle.r,
-            J=bundle.J,
-            seed=bundle.seed,
-            pot=pot,
-            x0_coeffs=bundle.x0_coeffs,
-            workers=bundle.workers,
-        )
-    elif study == "study-moments":
-        base_n, base_N = bundle.n, bundle.N
-        ladder = tuple(
-            (base_n * 2**i, base_N * 2**i) for i in range(max(3, bundle.levels - 1))
-        )[:3]
-        report = experiments.moment_bound_study(
-            domain=domain,
-            ladder=ladder,
-            T=bundle.T,
-            M=bundle.M,
-            sigma=bundle.sigma,
-            r=bundle.r,
-            J=bundle.J,
-            seed=bundle.seed,
-            pot=pot,
-            x0_coeffs=bundle.x0_coeffs,
-            workers=bundle.workers,
-        )
-    elif study == "probe-holder":
-        report = experiments.holder_probe(
-            domain=domain,
-            n=bundle.n,
-            N_fine=bundle.N,
-            T=bundle.T,
-            sigma=bundle.sigma,
-            r=bundle.r,
-            J=bundle.J,
-            seed=bundle.seed,
-            pot=pot,
-            x0_coeffs=bundle.x0_coeffs,
-        )
-    else:  # pragma: no cover - parse_config already validated
-        raise ValueError(f"unknown study {study!r}")
+        (report, rows), header = out, _RUN_HEADER
+    else:
+        report, rows, header = out, out.rows(), experiments.CSV_HEADER
+    experiments.write_csv(os.path.join(outdir, csv_name), header, rows)
 
-    if study != "run":
-        experiments.write_csv(
-            os.path.join(outdir, csv_name), experiments.CSV_HEADER, report.rows()
-        )
     status = 0
     for check in report.checks:
         mark = "PASS" if check.ok else "FAIL"

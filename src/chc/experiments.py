@@ -12,26 +12,36 @@ increments (checksummed per sample as a coupling audit).
 
 from __future__ import annotations
 
+import csv
 import functools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .fem import (
     FemFunction,
+    OperatorSet,
     assemble,
     build_interval_mesh,
     build_rectangle_mesh,
     discrete_spectrum,
     l2_error,
-    load_vector,
+    minus_one_norm_cg,
     project_l2,
     prolong,
 )
-from .noise import NoiseSpec, _rng_for_sample, convolution_pair_from_normals, sample_increments
+from .noise import (
+    NoiseSpec,
+    WienerIncrements,
+    _rng_for_sample,
+    convolution_pair_from_normals,
+    field_coefficients,
+    sample_increments,
+)
 from .potential import Potential, double_well, zero_potential
-from .spectral import DomainSpec, SpectralField, build_basis, semigroup_apply
+from .spectral import DomainSpec, EigenBasis, SpectralField, build_basis, semigroup_apply
 from .stepper import NewtonError, StepperConfig, lyapunov_J, run_trajectory
 
 __all__ = [
@@ -141,11 +151,15 @@ def _fmt(x) -> str:
 
 
 def write_csv(path, header, rows) -> None:
-    """Plain CSV with repr-precision floats, reproducible byte for byte."""
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """CSV with repr-precision floats, reproducible byte for byte.
+
+    Fields that contain a comma, such as the level label ``n=16,N=32``,
+    are quoted.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def write_manifest(path, mapping) -> None:
@@ -343,24 +357,13 @@ def det_derivative_rate_study(
 
 
 @functools.lru_cache(maxsize=32)
-def _assembled(domain_key, n):
+def _assembled(domain: DomainSpec, n: int) -> OperatorSet:
     """Assembled operators for a (domain, resolution) pair; process-local."""
-    domain = domain_key if isinstance(domain_key, DomainSpec) else domain_key
     if domain.kind == "interval":
         mesh = build_interval_mesh(domain.lengths[0], n)
     else:
         mesh = build_rectangle_mesh(domain.lengths[0], domain.lengths[1], n, n)
     return assemble(mesh)
-
-
-@functools.lru_cache(maxsize=32)
-def _mode_load_matrix(domain_key, n, J):
-    """B[i, j] = <phi_j, hat_i>: load vectors of the first J analytic modes."""
-    ops = _assembled(domain_key, n)
-    basis = build_basis(domain_key, J)
-    return np.column_stack(
-        [load_vector(ops, SpectralField.single_mode(basis, j)) for j in range(J)]
-    )
 
 
 def _phi1(x):
@@ -382,10 +385,9 @@ def stoch_conv_level_error_temporal(
     """
     basis = build_basis(domain, noise.J)
     lam = basis.eigenvalues
-    sq = noise.sigma * np.sqrt(noise.q(basis))
     ops = _assembled(domain, n)
     spec = discrete_spectrum(ops)
-    G = spec.vectors.T @ _mode_load_matrix(domain, n, noise.J)  # (Nh, J)
+    G = spec.vectors.T @ ops.mode_loads(basis)  # (Nh, J)
     k = T / N
     D = 1.0 / (1.0 + k * spec.eigenvalues**2)
     dec = np.exp(-(lam**2) * k)
@@ -404,8 +406,8 @@ def stoch_conv_level_error_temporal(
             db, I = convolution_pair_from_normals(
                 lam[:, None], k, z[:, j, 0, :], z[:, j, 1, :]
             )
-            a = dec[:, None] * a + sq[:, None] * I
-            w = D[:, None] * (w + G @ (sq[:, None] * db))
+            a = dec[:, None] * a + field_coefficients(noise, basis, I)
+            w = D[:, None] * (w + G @ field_coefficients(noise, basis, db))
             err2 = (a * a).sum(0) - 2 * (a * (G.T @ w)).sum(0) + (w * w).sum(0)
             s2 = np.maximum(s2, err2)
         sup2[lo:hi] = s2
@@ -432,10 +434,9 @@ def stoch_conv_level_error_spatial(
     """
     basis = build_basis(domain, noise.J)
     lam = basis.eigenvalues
-    sq = noise.sigma * np.sqrt(noise.q(basis))
     ops = _assembled(domain, n)
     spec = discrete_spectrum(ops)
-    G = spec.vectors.T @ _mode_load_matrix(domain, n, noise.J)
+    G = spec.vectors.T @ ops.mode_loads(basis)
     Nh = len(spec.eigenvalues)
     k = T / N
     dec_a = np.exp(-(lam**2) * k)
@@ -447,7 +448,7 @@ def stoch_conv_level_error_spatial(
         C = k * _phi1((L[:, None] + L[None, :]) * k)
         evals, evecs = np.linalg.eigh(C)
         roots[j] = evecs * np.sqrt(np.clip(evals, 0.0, None))
-    Gq = G * sq[None, :]
+    Gq = field_coefficients(noise, basis, G.T).T  # column j of G times sigma sqrt(q_j)
     sup2 = np.empty(M)
     for lo in range(0, M, chunk):
         hi = min(lo + chunk, M)
@@ -461,7 +462,7 @@ def stoch_conv_level_error_spatial(
         s2 = np.zeros(hi - lo)
         for j in range(N):
             g = np.einsum("jpq,jqm->jpm", roots, z[:, j, :, :])
-            a = dec_a[:, None] * a + sq[:, None] * g[:, 0, :]
+            a = dec_a[:, None] * a + field_coefficients(noise, basis, g[:, 0, :])
             w = dec_w[:, None] * w + np.einsum("ij,jim->im", Gq, g[:, 1:, :])
             err2 = (a * a).sum(0) - 2 * (a * (G.T @ w)).sum(0) + (w * w).sum(0)
             s2 = np.maximum(s2, err2)
@@ -552,23 +553,42 @@ def stoch_conv_rate_study(
 # -- nonlinear coupled studies ------------------------------------------------
 
 
+class _Level(NamedTuple):
+    """What every sample at one resolution shares."""
+
+    ops: OperatorSet
+    basis: EigenBasis
+    noise: NoiseSpec
+    pot: Potential
+    X0: FemFunction
+
+
 @functools.lru_cache(maxsize=32)
-def _nonlinear_context(domain_key, n, J, pot_coeffs, x0_coeffs):
+def _level_context(domain, n, noise, pot_coeffs, x0_coeffs) -> _Level:
     """Per-level assembled context shared by nonlinear Monte-Carlo samples."""
-    ops = _assembled(domain_key, n)
-    basis = build_basis(domain_key, J)
-    B = _mode_load_matrix(domain_key, n, J)
-    pot = Potential(pot_coeffs)
-    c0 = np.zeros(J)
+    ops = _assembled(domain, n)
+    basis = build_basis(domain, noise.J)
+    c0 = np.zeros(noise.J)
     c0[: len(x0_coeffs)] = x0_coeffs
     X0 = project_l2(SpectralField(basis, c0), ops)
-    return ops, B, pot, X0
+    return _Level(ops, basis, noise, Potential(pot_coeffs), X0)
 
 
-def _noise_fields(ops, B, scale, dbeta):
-    """Projected increment fields P_h(Delta W^j) for every step, as a list."""
-    nodal = ops.solve_M(B @ (scale[:, None] * dbeta))
-    return [FemFunction(ops.mesh, nodal[:, j]) for j in range(dbeta.shape[1])]
+def _run_level(level: _Level, inc: WienerIncrements, factor: int = 1, store: str = "all"):
+    """March one level on the sample path: states and per-step diagnostics.
+
+    The level steps with the increments summed over ``factor`` fine steps,
+    each projected as P_h dW = M^{-1} B (sigma sqrt(q) dbeta), and with the
+    time step factor * k_fine, which is T/N exactly when factor is a power
+    of two.
+    """
+    dbeta = inc.increments(factor)
+    nodal = level.ops.project_modes(
+        level.basis, field_coefficients(level.noise, level.basis, dbeta)
+    )
+    dWs = [FemFunction(level.ops.mesh, nodal[:, j]) for j in range(dbeta.shape[1])]
+    cfg = StepperConfig(k=inc.k_fine * factor)
+    return run_trajectory(level.X0, dWs, cfg, level.ops, level.pot, store=store)
 
 
 def _strong_sample(params, m):
@@ -577,36 +597,24 @@ def _strong_sample(params, m):
     Returns (None, step-failure message) if Newton fails at any level, so
     the study can surface the count without losing the whole campaign.
     """
-    (domain, levels, T, J, sigma, r, seed, pot_coeffs, x0_coeffs) = params
-    noise = NoiseSpec(r=r, sigma=sigma, J=J, seed=seed)
-    basis = build_basis(domain, J)
-    scale = noise.sigma * np.sqrt(noise.q(basis))
+    (domain, levels, T, noise, pot_coeffs, x0_coeffs) = params
     n_ref, N_ref = levels[-1]
     factors = tuple(N_ref // N for (_, N) in levels)
     inc = sample_increments(noise, T, N_ref, factors=factors, sample_index=m)
-
-    ops_ref, B_ref, pot, X0_ref = _nonlinear_context(
-        domain, n_ref, J, pot_coeffs, x0_coeffs
-    )
+    ref = _level_context(domain, n_ref, noise, pot_coeffs, x0_coeffs)
     try:
-        dWs = _noise_fields(ops_ref, B_ref, scale, inc.increments(1))
-        ref_states, _ = run_trajectory(
-            X0_ref, dWs, StepperConfig(k=T / N_ref), ops_ref, pot, store="all"
-        )
+        ref_states, _ = _run_level(ref, inc)
         X_ref = np.stack([s.X.values for s in ref_states])
 
         sup_errs = []
         for (n, N) in levels[:-1]:
             fac = N_ref // N
-            ops, B, pot, X0 = _nonlinear_context(domain, n, J, pot_coeffs, x0_coeffs)
-            dWs = _noise_fields(ops, B, scale, inc.increments(fac))
-            states, _ = run_trajectory(
-                X0, dWs, StepperConfig(k=T / N), ops, pot, store="all"
-            )
+            level = _level_context(domain, n, noise, pot_coeffs, x0_coeffs)
+            states, _ = _run_level(level, inc, fac)
             e2 = 0.0
             for j, s in enumerate(states):
-                d = X_ref[j * fac] - prolong(s.X, ops_ref.mesh).values
-                e2 = max(e2, float(d @ (ops_ref.M @ d)))
+                d = X_ref[j * fac] - prolong(s.X, ref.ops.mesh).values
+                e2 = max(e2, float(d @ (ref.ops.M @ d)))
             sup_errs.append(e2)
     except NewtonError as err:
         return None, f"sample {m}: {err}"
@@ -647,7 +655,8 @@ def strong_convergence_study(
     levels = [
         (n_f // factor**i, N_f // factor**i) for i in range(n_levels - 1, -1, -1)
     ]
-    params = (domain, tuple(levels), T, J, sigma, r, seed, pot.F_coeffs, tuple(x0_coeffs))
+    noise = NoiseSpec(r=r, sigma=sigma, J=J, seed=seed)
+    params = (domain, tuple(levels), T, noise, pot.F_coeffs, tuple(x0_coeffs))
     fn = functools.partial(_strong_sample, params)
 
     failures = 0
@@ -671,7 +680,9 @@ def strong_convergence_study(
     )
 
     level_rows = [
-        LevelResult(f"n={n},N={N}", domain.lengths[0] / n, T / N, M, float(mu), float(se))
+        LevelResult(
+            f"n={n},N={N}", _assembled(domain, n).mesh.h, T / N, M, float(mu), float(se)
+        )
         for (n, N), mu, se in zip(levels[:-1], means, ses)
     ]
     slope, r2 = fit_loglog([lr.h for lr in level_rows], means)
@@ -704,35 +715,23 @@ def strong_convergence_study(
 
 def _moment_sample(params, m):
     """Per-sample supremum statistics for one ladder level."""
-    (domain, n, N, T, J, sigma, r, seed, pot_coeffs, x0_coeffs) = params
-    noise = NoiseSpec(r=r, sigma=sigma, J=J, seed=seed)
-    basis = build_basis(domain, J)
-    scale = noise.sigma * np.sqrt(noise.q(basis))
+    (domain, n, N, T, noise, pot_coeffs, x0_coeffs) = params
     inc = sample_increments(noise, T, N, sample_index=m)
-    ops, B, pot, X0 = _nonlinear_context(domain, n, J, pot_coeffs, x0_coeffs)
-    dWs = _noise_fields(ops, B, scale, inc.increments(1))
-    k = T / N
+    level = _level_context(domain, n, noise, pot_coeffs, x0_coeffs)
+    ops, pot, X0 = level.ops, level.pot, level.X0
     try:
-        states, diags = run_trajectory(X0, dWs, StepperConfig(k=k), ops, pot, store="all")
+        states, diags = _run_level(level, inc)
     except NewtonError:
         return None
 
     J0 = lyapunov_J(X0, ops, pot)
     sup_J = max(J0, max(d.J for d in diags))
-    sum_Y = k * sum(d.Y_h1**2 for d in diags)
+    sum_Y = inc.k_fine * sum(d.Y_h1**2 for d in diags)
     mass0 = ops.mean(X0.values)
     mass_dev = max(abs(d.mass - mass0) for d in diags)
-
-    sup_minus1 = 0.0
-    sup_l2 = 0.0
-    for s in states:
-        x = s.X.values
-        b = ops.M @ x
-        # |X|_{-1,h} only sees the mean-free part
-        b0 = ops.M @ (x - ops.mean(x))
-        y = ops.solve_K_mean(b0, 0.0)
-        sup_minus1 = max(sup_minus1, float(max(0.0, y @ b0)))
-        sup_l2 = max(sup_l2, float(x @ b))
+    # the mean constraint of the |.|_{-1,h} solve discards the mean of X
+    sup_minus1 = max(minus_one_norm_cg(s.X, ops) ** 2 for s in states)
+    sup_l2 = max(float(s.X.values @ (ops.M @ s.X.values)) for s in states)
     return sup_J, sum_Y, sup_minus1, sup_l2, mass_dev
 
 
@@ -766,8 +765,9 @@ def moment_bound_study(
     second = {"sup_J": [], "sum_Y": [], "sup_minus1": [], "sup_l2": []}
     rows = []
     failures = 0
+    noise = NoiseSpec(r=r, sigma=sigma, J=J, seed=seed)
     for (n, N) in ladder:
-        params = (domain, n, N, T, J, sigma, r, seed, pot.F_coeffs, tuple(x0_coeffs))
+        params = (domain, n, N, T, noise, pot.F_coeffs, tuple(x0_coeffs))
         fn = functools.partial(_moment_sample, params)
         results = map_samples(fn, M, workers)
         failures += sum(1 for v in results if v is None)
@@ -782,7 +782,7 @@ def moment_bound_study(
         rows.append(
             LevelResult(
                 f"n={n},N={N}",
-                domain.lengths[0] / n,
+                _assembled(domain, n).mesh.h,
                 T / N,
                 M,
                 float(vals[:, 0].mean()),
@@ -837,20 +837,16 @@ def holder_probe(
     if pot is None:
         pot = double_well()
     noise = NoiseSpec(r=r, sigma=sigma, J=J, seed=seed)
-    basis = build_basis(domain, J)
-    scale = noise.sigma * np.sqrt(noise.q(basis))
     inc = sample_increments(noise, T, N_fine, factors=factors, sample_index=sample_index)
-    ops, B, pot, X0 = _nonlinear_context(
-        domain, n, J, pot.F_coeffs, tuple(x0_coeffs)
-    )
+    level = _level_context(domain, n, noise, pot.F_coeffs, tuple(x0_coeffs))
+    ops = level.ops
 
     table = {}
     rows = []
     for fac in factors:
         N = N_fine // fac
         k = T / N
-        dWs = _noise_fields(ops, B, scale, inc.increments(fac))
-        states, _ = run_trajectory(X0, dWs, StepperConfig(k=k), ops, pot, store="all")
+        states, _ = _run_level(level, inc, fac)
         X = np.stack([s.X.values for s in states])  # (N+1, dofs)
         quots = {}
         for g in gammas:
@@ -864,7 +860,7 @@ def holder_probe(
             quots[g] = best
         table[fac] = quots
         rows.append(
-            LevelResult(f"N={N}", domain.lengths[0] / n, k, 1, quots[gammas[0]], 0.0)
+            LevelResult(f"N={N}", ops.mesh.h, k, 1, quots[gammas[0]], 0.0)
         )
 
     res = RateStudyResult("holder", rows, float("nan"), float("nan"))
@@ -903,19 +899,12 @@ def single_run(
         domain = DomainSpec.interval(1.0)
     if pot is None:
         pot = double_well()
-    ops, B, pot, X0 = _nonlinear_context(domain, n, J, pot.F_coeffs, tuple(x0_coeffs))
+    noise = NoiseSpec(r=r, sigma=sigma, J=J, seed=seed)
+    level = _level_context(domain, n, noise, pot.F_coeffs, tuple(x0_coeffs))
+    ops, pot, X0 = level.ops, level.pot, level.X0
     k = T / N
-    if sigma > 0:
-        noise = NoiseSpec(r=r, sigma=sigma, J=J, seed=seed)
-        basis = build_basis(domain, J)
-        scale = noise.sigma * np.sqrt(noise.q(basis))
-        inc = sample_increments(noise, T, N, sample_index=sample_index)
-        dWs = _noise_fields(ops, B, scale, inc.increments(1))
-    else:
-        dWs = None
-    states, diags = run_trajectory(
-        X0, dWs, StepperConfig(k=k), ops, pot, n_steps=N, store="none"
-    )
+    inc = sample_increments(noise, T, N, sample_index=sample_index)
+    _, diags = _run_level(level, inc, store="none")
     mass0 = ops.mean(X0.values)
     rows = [
         (j + 1, (j + 1) * k, d.mass - mass0, d.J, d.Y_h1, d.newton_iters)

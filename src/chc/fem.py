@@ -9,7 +9,7 @@ scale, so direct sparse factorizations and dense eigensolves suffice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -17,7 +17,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .spectral import SpectralField
+from .spectral import EigenBasis, SpectralField
 
 __all__ = [
     "Mesh",
@@ -33,11 +33,8 @@ __all__ = [
     "apply_Ah",
     "discrete_spectrum",
     "discrete_norm_alpha",
-    "h1_bound_check",
     "l2_error",
     "prolong",
-    "mesh_to_text",
-    "mesh_from_text",
 ]
 
 DENSE_EIG_LIMIT = 4000
@@ -201,22 +198,49 @@ def points_for_field(mesh: Mesh, v: FieldLike, base: int = 3) -> int:
 
 
 class OperatorSet:
-    """Assembled mass and stiffness matrices with cached factorizations."""
+    """Assembled mass and stiffness matrices with the per-mesh caches.
+
+    Factorizations, quadrature rules and mode-load matrices are built on
+    first use and kept for the life of the object.
+    """
 
     def __init__(self, mesh: Mesh, M: sp.csr_matrix, K: sp.csr_matrix):
         self.mesh = mesh
         self.M = M
         self.K = K
+        self.domain_measure = float(mesh.cell_measures().sum())
+        self._hat_integrals = M @ np.ones(M.shape[0])  # m @ c = int c dx
         self._M_lu = None
         self._Kaug_lu = None
+        self._quad = {}
+        self._mode_loads = {}
 
     @property
     def n_dofs(self) -> int:
         return self.M.shape[0]
 
-    @property
-    def domain_measure(self) -> float:
-        return float(self.mesh.cell_measures().sum())
+    def quadrature(self, npts: int):
+        """``quadrature_points(self.mesh, npts)``, built once per npts."""
+        if npts not in self._quad:
+            self._quad[npts] = quadrature_points(self.mesh, npts)
+        return self._quad[npts]
+
+    def mode_loads(self, basis: EigenBasis) -> np.ndarray:
+        """B[:, j] = load_vector(self, phi_j) for the modes of ``basis``, built once.
+
+        Each column uses the Gauss rule ``points_for_field`` sizes from the
+        whole basis, so ``M^{-1} B c`` is ``project_l2`` of the field with
+        coefficients c up to rounding.
+        """
+        key = (basis.domain, basis.indices)
+        if key not in self._mode_loads:
+            modes = [SpectralField.single_mode(basis, j) for j in range(basis.J)]
+            self._mode_loads[key] = np.column_stack([load_vector(self, v) for v in modes])
+        return self._mode_loads[key]
+
+    def project_modes(self, basis: EigenBasis, coeffs: np.ndarray) -> np.ndarray:
+        """Nodal values of P_h sum_j coeffs[j] phi_j, one column per column of coeffs."""
+        return self.solve_M(self.mode_loads(basis) @ coeffs)
 
     def solve_M(self, b: np.ndarray) -> np.ndarray:
         if self._M_lu is None:
@@ -231,7 +255,7 @@ class OperatorSet:
         keeps the solve symmetric instead of pinning a node.
         """
         n = self.n_dofs
-        m = self.M @ np.ones(n)  # integral functional: m @ c = int c dx
+        m = self._hat_integrals
         if self._Kaug_lu is None:
             aug = sp.bmat([[self.K, m[:, None]], [m[None, :], None]], format="csc")
             self._Kaug_lu = spla.factorized(aug)
@@ -239,8 +263,7 @@ class OperatorSet:
         return self._Kaug_lu(rhs)[:n]
 
     def mean(self, values: np.ndarray) -> float:
-        m = self.M @ np.ones(self.n_dofs)
-        return float(m @ values) / self.domain_measure
+        return float(self._hat_integrals @ values) / self.domain_measure
 
 
 def assemble(mesh: Mesh) -> OperatorSet:
@@ -297,18 +320,12 @@ class FemFunction:
         return np.interp(np.asarray(x, dtype=float), self.mesh.vertices, self.values)
 
 
-def _eval_field(v: FieldLike, pts: np.ndarray) -> np.ndarray:
-    if isinstance(v, SpectralField):
-        return v(pts)
-    return v(pts)
-
-
 def load_vector(ops: OperatorSet, v: FieldLike, npts: int | None = None) -> np.ndarray:
     """b_i = int v phi_i dx by Gauss quadrature."""
     if npts is None:
         npts = points_for_field(ops.mesh, v)
-    pts, wts, shapes = quadrature_points(ops.mesh, npts)
-    vals = _eval_field(v, pts)  # (nc, nq)
+    pts, wts, shapes = ops.quadrature(npts)
+    vals = v(pts)  # (nc, nq)
     contrib = np.einsum("cq,cq,ql->cl", wts, vals, shapes)
     b = np.zeros(ops.n_dofs)
     np.add.at(b, ops.mesh.cells, contrib)
@@ -390,25 +407,13 @@ def minus_one_norm_cg(v: FemFunction, ops: OperatorSet, rtol: float = 1e-12) -> 
     return float(np.sqrt(max(0.0, y @ b)))
 
 
-def h1_bound_check(v: SpectralField, ops: OperatorSet) -> float:
-    """Diagnostic ratio |P_h v|_1 / |v|_1 for zero-mean v."""
-    from .spectral import norm_alpha
-
-    denom = norm_alpha(v, 1.0)
-    if denom == 0.0:
-        raise ValueError("zero input field")
-    ph = project_l2(v, ops)
-    num = np.sqrt(ph.values @ (ops.K @ ph.values))
-    return float(num / denom)
-
-
 def l2_error(v: FieldLike, u: FemFunction, ops: OperatorSet, npts: int | None = None) -> float:
     """||v - u||_{L2} by quadrature of the pointwise difference."""
     if npts is None:
         npts = points_for_field(ops.mesh, v, base=4)
-    pts_wts_shapes = quadrature_points(ops.mesh, npts)
+    pts_wts_shapes = ops.quadrature(npts)
     pts, wts, _ = pts_wts_shapes
-    diff = _eval_field(v, pts) - u.at_quadrature(pts_wts_shapes)
+    diff = v(pts) - u.at_quadrature(pts_wts_shapes)
     return float(np.sqrt(np.sum(wts * diff**2)))
 
 
@@ -417,45 +422,3 @@ def prolong(u: FemFunction, fine_mesh: Mesh) -> FemFunction:
     if u.mesh.dim != 1 or fine_mesh.dim != 1:
         raise NotImplementedError("prolongation implemented for 1-D meshes")
     return FemFunction(fine_mesh, u(fine_mesh.vertices))
-
-
-# -- debug serialization ---------------------------------------------------
-
-
-def mesh_to_text(mesh: Mesh) -> str:
-    lines = [f"dim {mesh.dim}", f"vertices {mesh.n_vertices}"]
-    if mesh.dim == 1:
-        lines += [repr(float(v)) for v in mesh.vertices]
-    else:
-        lines += [f"{float(v[0])!r} {float(v[1])!r}" for v in mesh.vertices]
-    lines.append(f"cells {mesh.n_cells}")
-    lines += [" ".join(str(i) for i in c) for c in mesh.cells]
-    return "\n".join(lines) + "\n"
-
-
-def mesh_from_text(text: str) -> Mesh:
-    tokens = text.split("\n")
-    dim = int(tokens[0].split()[1])
-    nv = int(tokens[1].split()[1])
-    rows = tokens[2 : 2 + nv]
-    if dim == 1:
-        verts = np.array([float(r) for r in rows])
-    else:
-        verts = np.array([[float(x) for x in r.split()] for r in rows])
-    nc_line = 2 + nv
-    nc = int(tokens[nc_line].split()[1])
-    cells = np.array(
-        [[int(i) for i in r.split()] for r in tokens[nc_line + 1 : nc_line + 1 + nc]]
-    )
-    if dim == 1:
-        h = float(np.max(verts[cells[:, 1]] - verts[cells[:, 0]]))
-    else:
-        p = verts[cells]
-        h = float(
-            max(
-                np.linalg.norm(p[:, 1] - p[:, 0], axis=1).max(),
-                np.linalg.norm(p[:, 2] - p[:, 1], axis=1).max(),
-                np.linalg.norm(p[:, 2] - p[:, 0], axis=1).max(),
-            )
-        )
-    return Mesh(dim, verts, cells, h)

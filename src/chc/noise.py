@@ -15,17 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import FemFunction, OperatorSet, project_l2
+from .fem import FemFunction, OperatorSet
 from .spectral import EigenBasis, SpectralField
 
 __all__ = [
     "NoiseSpec",
     "WienerIncrements",
-    "admissibility",
-    "suggest_mode_count",
     "sample_increments",
     "project_increment",
-    "sample_convolution_pair",
     "convolution_pair_from_normals",
     "brute_force_pair_moments",
     "field_coefficients",
@@ -59,63 +56,6 @@ class NoiseSpec:
         q = np.zeros(self.J)
         q[1:] = lam[1:] ** (-self.r)
         return q
-
-
-def admissibility(
-    spec: NoiseSpec, basis: EigenBasis, gamma: float, beta: float = 2.0
-) -> tuple[float, bool]:
-    """Truncated ||A^((beta-2)/2+gamma) Q^(1/2)||_HS^2 with a Weyl tail estimate.
-
-    Returns (value, admissible): the partial sum over the retained modes
-    plus an integral tail estimate based on the power-law growth of the
-    computed eigenvalues; admissible iff the tail integral converges.
-    """
-    if spec.sigma == 0.0:
-        return 0.0, True
-    expo = 2.0 * ((beta - 2.0) / 2.0 + gamma) - spec.r
-    lam = basis.eigenvalues[1 : spec.J]
-    partial = spec.sigma**2 * float(np.sum(lam**expo))
-
-    # Weyl growth lambda_j ~ c j^(2/d) fitted on the computed spectrum tail.
-    d = basis.domain.dim
-    j_hi = len(lam)
-    c_weyl = lam[-1] / j_hi ** (2.0 / d)
-    tail_power = (2.0 / d) * expo
-    admissible = tail_power < -1.0
-    if admissible:
-        # int_{J}^inf (c j^(2/d))^expo dj
-        tail = spec.sigma**2 * c_weyl**expo * j_hi ** (tail_power + 1) / (
-            -(tail_power + 1)
-        )
-    else:
-        tail = np.inf
-    return partial + tail if admissible else np.inf, admissible
-
-
-def suggest_mode_count(
-    basis: EigenBasis, r: float, rel_tail_tol: float = 1e-6, cap: int = 4096
-) -> int:
-    """Smallest J whose omitted tail of sum lambda_j q_j is below tolerance.
-
-    The tail is estimated by Weyl growth.  The strict 1e-6 rule can demand
-    enormous J for slowly decaying traces, so the result is capped.
-    """
-    lam = basis.eigenvalues
-    d = basis.domain.dim
-    expo = 1.0 - r  # terms lambda^(1-r)
-    tail_power = (2.0 / d) * expo
-    if tail_power >= -1.0:
-        raise ValueError("trace sum diverges; noise is not admissible")
-    c_weyl = lam[-1] / (len(lam) - 1) ** (2.0 / d)
-
-    terms = lam[1:] ** expo
-    csum = np.cumsum(terms)
-    js = np.arange(1, len(terms) + 1)
-    tails = c_weyl**expo * js ** (tail_power + 1) / (-(tail_power + 1))
-    ok = np.flatnonzero(tails <= rel_tail_tol * csum)
-    if len(ok):
-        return int(min(ok[0] + 2, cap))  # +1 for the constant mode
-    return cap
 
 
 @dataclass
@@ -183,8 +123,8 @@ def field_coefficients(
 
 
 def project_increment(dW: SpectralField, ops: OperatorSet) -> FemFunction:
-    """P_h applied to a (truncated) spectral increment."""
-    return project_l2(dW, ops)
+    """P_h applied to a (truncated) spectral increment, through the cached mode loads."""
+    return FemFunction(ops.mesh, ops.project_modes(dW.basis, dW.coeffs))
 
 
 def convolution_pair_from_normals(lam, k: float, z1, z2):
@@ -256,12 +196,3 @@ def brute_force_pair_moments(
     ):
         out[name] = (float(prod.mean()), float(prod.std(ddof=1) / np.sqrt(M)))
     return out
-
-
-def sample_convolution_pair(lam: float, k: float, rng: np.random.Generator, size=None):
-    """Exact joint sample of the increment and its one-step convolution."""
-    if k <= 0:
-        raise ValueError("step size must be positive")
-    z1 = rng.standard_normal(size)
-    z2 = rng.standard_normal(size)
-    return convolution_pair_from_normals(lam, k, z1, z2)

@@ -21,7 +21,6 @@ __all__ = [
     "eval_phi",
     "norm_alpha",
     "semigroup_apply",
-    "smoothing_constant_probe",
 ]
 
 
@@ -211,28 +210,3 @@ def semigroup_apply(v: SpectralField, t: float) -> SpectralField:
         raise ValueError("t must be >= 0")
     factors = np.exp(-t * v.basis.eigenvalues**2)
     return SpectralField(v.basis, factors * v.coeffs)
-
-
-def smoothing_constant_probe(
-    alpha: float,
-    basis: EigenBasis,
-    t_grid: np.ndarray | None = None,
-) -> float:
-    """Empirical sup over t and modes of t^(alpha/2) * lambda^alpha * exp(-t lambda^2).
-
-    This is the parabolic smoothing quantity for the zero-mean part; its
-    analytic ceiling is sup_s s^(alpha/2) exp(-s) attained at s = alpha/2.
-    """
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    if t_grid is None:
-        t_grid = np.logspace(-8, 2, 2001)
-    lam = basis.eigenvalues[1:]
-    if len(lam) == 0:
-        return 1.0 if alpha == 0 else 0.0
-    t = np.asarray(t_grid)[:, None]
-    vals = t ** (alpha / 2.0) * lam**alpha * np.exp(-t * lam**2)
-    sup = float(vals.max())
-    if alpha == 0:
-        sup = max(sup, 1.0)  # attained in the limit t -> 0
-    return sup

@@ -14,13 +14,13 @@ to the noise input, step by step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fem import FemFunction, OperatorSet, quadrature_points
+from .fem import FemFunction, OperatorSet
 from .potential import Potential
 
 __all__ = [
@@ -68,19 +68,12 @@ class StepDiagnostics:
     mass: float
     J: float
     Y_h1: float  # |Y|_1
-    dX_l2: float  # ||X^j - X^{j-1}||
-    dX_h1: float  # |X^j - X^{j-1}|_1
-    residual_history: list = field(default_factory=list)
 
 
 class NewtonError(RuntimeError):
     def __init__(self, message: str, history: list):
         super().__init__(message)
         self.history = history
-
-
-def _quad_cache(ops: OperatorSet, npts: int):
-    return quadrature_points(ops.mesh, npts)
 
 
 def _nonlinear_load(ops: OperatorSet, pot: Potential, values: np.ndarray, quad):
@@ -108,7 +101,7 @@ def _nonlinear_jacobian(ops: OperatorSet, pot: Potential, values: np.ndarray, qu
 
 def functional_F(X: FemFunction, pot: Potential, ops: OperatorSet, npts: int = 3) -> float:
     """int F(X) dx, exact for the degree-4 composite of a P1 function."""
-    pts, wts, shapes = _quad_cache(ops, npts)
+    pts, wts, shapes = ops.quadrature(npts)
     vals = X.values[ops.mesh.cells] @ shapes.T
     return float(np.sum(wts * pot.F(vals)))
 
@@ -121,7 +114,7 @@ def lyapunov_J(X: FemFunction, ops: OperatorSet, pot: Potential, npts: int = 3) 
 def dissipativity_check(pot: Potential, fields: list, ops: OperatorSet, npts: int = 3) -> float:
     """min over the sample fields of <f(v), v> + C_0; nonnegative by design."""
     C0 = pot.dissipativity_floor(ops.domain_measure)
-    pts, wts, shapes = _quad_cache(ops, npts)
+    pts, wts, shapes = ops.quadrature(npts)
     worst = np.inf
     for v in fields:
         vals = v.values[ops.mesh.cells] @ shapes.T
@@ -132,7 +125,7 @@ def dissipativity_check(pot: Potential, fields: list, ops: OperatorSet, npts: in
 
 def chemical_potential(X: FemFunction, ops: OperatorSet, pot: Potential, npts: int = 3) -> FemFunction:
     """Y with M Y = K X + b(X); the discrete chemical potential."""
-    quad = _quad_cache(ops, npts)
+    quad = ops.quadrature(npts)
     rhs = ops.K @ X.values + _nonlinear_load(ops, pot, X.values, quad)
     return FemFunction(ops.mesh, ops.solve_M(rhs))
 
@@ -147,7 +140,7 @@ def backward_euler_step(
     """One fully implicit step driven by the projected noise increment."""
     n = ops.n_dofs
     M, K, k = ops.M, ops.K, cfg.k
-    quad = _quad_cache(ops, cfg.quad_npts)
+    quad = ops.quadrature(cfg.quad_npts)
 
     rhs1 = M @ (prev.X.values + dW_h.values)
     rhs_norm = np.linalg.norm(rhs1)
@@ -180,16 +173,12 @@ def backward_euler_step(
 
     X_new = FemFunction(ops.mesh, x)
     Y_new = FemFunction(ops.mesh, y)
-    dx = x - prev.X.values
     diag = StepDiagnostics(
         newton_iters=iters,
         residual=history[-1],
         mass=ops.mean(x),
         J=lyapunov_J(X_new, ops, pot, cfg.quad_npts),
         Y_h1=float(np.sqrt(max(0.0, y @ (K @ y)))),
-        dX_l2=float(np.sqrt(max(0.0, dx @ (M @ dx)))),
-        dX_h1=float(np.sqrt(max(0.0, dx @ (K @ dx)))),
-        residual_history=history,
     )
     return State(X_new, Y_new, prev.step + 1, prev.t + k), diag
 
@@ -202,15 +191,11 @@ def energy_residual(
     ops: OperatorSet,
     pot: Potential,
     npts: int = 3,
-    strict_sign: bool = False,
 ) -> float:
     """Pathwise dissipation residual of one accepted step; <= 0 up to solver error.
 
     residual = J(X^j) - J(X^{j-1}) + 0.5 |dX|_1^2 + k |Y^j|_1^2
                - <Y^j, dW_h> - 0.5 c_1^2 ||dX||^2.
-
-    strict_sign=True instead adds the convexity-defect term, probing the
-    stronger convention; steps can legitimately violate that one.
     """
     dx = nxt.X.values - prev.X.values
     dx_h1_sq = float(dx @ (ops.K @ dx))
@@ -220,10 +205,9 @@ def energy_residual(
     noise_work = float(y @ (ops.M @ dW_h.values))
     J_prev = lyapunov_J(prev.X, ops, pot, npts)
     J_next = lyapunov_J(nxt.X, ops, pot, npts)
-    sign = +1.0 if strict_sign else -1.0
     return (
         J_next - J_prev + 0.5 * dx_h1_sq + k * y_h1_sq - noise_work
-        + sign * 0.5 * pot.c1_sq * dx_l2_sq
+        - 0.5 * pot.c1_sq * dx_l2_sq
     )
 
 

@@ -1,12 +1,15 @@
 """CLI: config parsing, manifests, dispatch, exit codes, reproducibility."""
 
+import csv
+import inspect
 import os
 import subprocess
 import sys
 
 import pytest
 
-from chc.cli import Bundle, dispatch, main, parse_config
+from chc import experiments
+from chc.cli import STUDIES, Bundle, dispatch, main, parse_config, write_run_manifest
 
 
 def write_config(tmp_path, text, name="cfg.txt"):
@@ -84,6 +87,45 @@ class TestDispatch:
         lines = (out / "study-det-deriv.csv").read_text().splitlines()
         assert lines[0] == "level,h,k,M,error,stderr,slope,r2"
         assert len(lines) == 9  # two sweeps x four levels
+
+
+    def test_strong_csv_reads_as_csv(self, tmp_path):
+        b = parse_config(
+            None,
+            {"study": "study-strong", "n": "16", "N": "16", "levels": "3", "T": "0.01",
+             "M": "2", "J": "8"},
+        )
+        out = tmp_path / "strong"
+        dispatch(b, str(out))
+        with open(out / "study-strong.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["level"] for row in rows] == ["n=4,N=4", "n=8,N=8"]
+        assert [float(row["h"]) for row in rows] == [0.25, 0.125]
+
+    def test_stoch_conv_manifest_records_what_it_reads(self, tmp_path):
+        b = parse_config(None, {"study": "study-stoch-conv"})
+        path = write_run_manifest(b, str(tmp_path), "study-stoch-conv.csv")
+        with open(path) as fh:
+            keys = [line.split(" = ")[0] for line in fh]
+        assert not {"J", "n", "N"} & set(keys)
+        assert keys == [
+            "artifact_version", "timestamp", "L", "M", "domain", "r", "seed", "sigma",
+            "study", "output_csv",
+        ]
+
+
+@pytest.mark.parametrize("study", sorted(STUDIES))
+def test_table_keys_are_the_keys_read(study):
+    # the manifest records an entry's keys, so each must be read and no other
+    entry = STUDIES[study]
+    full = parse_config(None, {"study": study}).values
+    view = {k: full[k] for k in ("study", "domain", "L", *entry.keys)}
+    kwargs = entry.kwargs(Bundle(view))
+    params = inspect.signature(getattr(experiments, entry.function)).parameters
+    assert set(kwargs) <= set(params) - {"domain"}
+    for key in entry.keys:
+        with pytest.raises((AttributeError, KeyError)):
+            entry.kwargs(Bundle({k: v for k, v in view.items() if k != key}))
 
 
 class TestMain:

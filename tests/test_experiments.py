@@ -1,5 +1,7 @@
 """Experiment harness: rate fits, output formats, worker pool, tiny studies."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,17 @@ class TestTinyMoments:
         stats = report.extra["first_moments"]
         assert all(v > 0 for v in stats["sup_J"])
         assert all(v >= 0 for v in stats["sum_Y"])
+
+
+    def test_rectangle_h_is_mesh_diameter(self, tmp_path):
+        report = moment_bound_study(
+            domain=DomainSpec.rectangle(1.0, 1.0), ladder=((4, 4), (8, 8)), T=0.01, M=2, J=8
+        )
+        path = tmp_path / "moments.csv"
+        write_csv(path, CSV_HEADER, report.rows())
+        with open(path, newline="") as fh:
+            hs = [float(row["h"]) for row in csv.DictReader(fh)]
+        assert hs == pytest.approx([np.sqrt(2.0) / 4.0, np.sqrt(2.0) / 8.0], rel=1e-15)
 
 
 class TestTinyHolder:

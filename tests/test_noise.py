@@ -1,19 +1,16 @@
-"""Q-Wiener sampling: laws, coupling, admissibility, and the joint pair."""
+"""Q-Wiener sampling: laws, coupling, projection, and the joint pair."""
 
 import numpy as np
 import pytest
 
-from chc.fem import assemble, build_interval_mesh
+from chc.fem import assemble, build_interval_mesh, build_rectangle_mesh, project_l2
 from chc.noise import (
     NoiseSpec,
-    admissibility,
     brute_force_pair_moments,
     convolution_pair_from_normals,
     field_coefficients,
     project_increment,
-    sample_convolution_pair,
     sample_increments,
-    suggest_mode_count,
 )
 from chc.spectral import DomainSpec, SpectralField, build_basis
 
@@ -40,31 +37,6 @@ class TestNoiseSpec:
             NoiseSpec(r=2.0, sigma=-1.0, J=4)
         with pytest.raises(ValueError):
             NoiseSpec(r=2.0, sigma=1.0, J=0)
-
-
-class TestAdmissibility:
-    def test_r2_gamma_half_basel(self, basis):
-        # ||A^{1/2} Q^{1/2}||_HS^2 = sum lambda_j^{-1} = sum (j pi)^{-2} = 1/6
-        spec = NoiseSpec(r=2.0, sigma=1.0, J=512)
-        value, ok = admissibility(spec, basis, gamma=0.5)
-        assert ok
-        assert value == pytest.approx(1.0 / 6.0, abs=1e-4)
-
-    def test_r1_diverges(self, basis):
-        spec = NoiseSpec(r=1.0, sigma=1.0, J=512)
-        value, ok = admissibility(spec, basis, gamma=0.5)
-        assert not ok
-        assert value == np.inf
-
-    def test_sigma_zero(self, basis):
-        spec = NoiseSpec(r=1.0, sigma=0.0, J=512)
-        assert admissibility(spec, basis, gamma=0.5) == (0.0, True)
-
-    def test_suggest_mode_count(self, basis):
-        J = suggest_mode_count(basis, r=4.0)
-        assert 2 <= J <= 4096
-        with pytest.raises(ValueError):
-            suggest_mode_count(basis, r=1.0)  # trace diverges
 
 
 class TestIncrements:
@@ -154,6 +126,25 @@ class TestProjection:
         b = project_increment(v, self.ops)
         assert np.max(np.abs(a.values - 2.5 * b.values)) < 1e-12
 
+    @pytest.mark.parametrize(
+        "domain, mesh",
+        [
+            (DomainSpec.interval(1.0), build_interval_mesh(1.0, 32)),
+            (DomainSpec.rectangle(1.0, 0.5), build_rectangle_mesh(1.0, 0.5, 8, 4)),
+        ],
+    )
+    def test_matches_quadrature_projection(self, domain, mesh):
+        # M^{-1} B c through the cached mode loads against project_l2 of the field
+        basis = build_basis(domain, 16)
+        spec = NoiseSpec(r=2.0, sigma=1.0, J=16, seed=3)
+        ops = assemble(mesh)
+        coefs = field_coefficients(spec, basis, sample_increments(spec, 0.1, 4).dbeta_fine)
+        for c in coefs.T:
+            v = SpectralField(basis, c)
+            ref = project_l2(v, ops).values
+            got = project_increment(v, ops).values
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
     def test_projected_mean_zero(self):
         spec = NoiseSpec(r=2.0, sigma=1.0, J=8, seed=5)
         inc = sample_increments(spec, 0.1, 1)
@@ -165,7 +156,8 @@ class TestProjection:
 class TestConvolutionPair:
     def test_lambda_zero_identity(self):
         rng = np.random.default_rng(0)
-        db, I = sample_convolution_pair(0.0, 0.5, rng, size=100)
+        z1, z2 = rng.standard_normal(100), rng.standard_normal(100)
+        db, I = convolution_pair_from_normals(0.0, 0.5, z1, z2)
         assert np.array_equal(db, I)
 
     def test_large_mu_limits(self):
@@ -190,7 +182,8 @@ class TestConvolutionPair:
     def test_sampled_moments_match_law(self):
         lam, k = PI**2, 1e-3
         rng = np.random.default_rng(42)
-        db, I = sample_convolution_pair(lam, k, rng, size=10**5)
+        z1, z2 = rng.standard_normal(10**5), rng.standard_normal(10**5)
+        db, I = convolution_pair_from_normals(lam, k, z1, z2)
         mu = lam**2 * k
         var_I = (1 - np.exp(-2 * mu)) / (2 * lam**2)
         cov = (1 - np.exp(-mu)) / lam**2

@@ -10,7 +10,6 @@ from chc.spectral import (
     eval_phi,
     norm_alpha,
     semigroup_apply,
-    smoothing_constant_probe,
 )
 
 PI = np.pi
@@ -152,27 +151,6 @@ class TestSemigroup:
         v = SpectralField.single_mode(self.basis, 1)
         with pytest.raises(ValueError):
             semigroup_apply(v, -1.0)
-
-
-class TestSmoothingProbe:
-    def test_alpha_zero_is_one(self):
-        b = build_basis(DomainSpec.interval(1.0), 8)
-        assert smoothing_constant_probe(0.0, b) == pytest.approx(1.0)
-
-    def test_alpha_two_single_mode(self):
-        # sup_t t lam^2 e^{-t lam^2} = 1/e, attained at t lam^2 = 1
-        b = build_basis(DomainSpec.interval(1.0), 2)
-        lam = b.eigenvalues[1]
-        t_grid = np.linspace(0.5 / lam**2, 2.0 / lam**2, 40001)
-        got = smoothing_constant_probe(2.0, b, t_grid=t_grid)
-        assert got == pytest.approx(np.exp(-1.0), abs=1e-8)
-
-    def test_alpha_one_ceiling(self):
-        b = build_basis(DomainSpec.interval(1.0), 16)
-        got = smoothing_constant_probe(1.0, b)
-        ceiling = (2 * np.e) ** -0.5  # sup_s s^{1/2} e^{-s}
-        assert got <= ceiling + 1e-12
-        assert got == pytest.approx(0.4289, abs=1e-3)
 
 
 def test_field_mean():

@@ -1,8 +1,11 @@
 """Backward Euler stepping: fixed points, linear resolvent, mass and energy."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from chc import fem
 from chc.fem import (
     FemFunction,
     assemble,
@@ -155,6 +158,23 @@ class TestTrajectory:
         _, diags = run_trajectory(X0, None, cfg, ops, dw, n_steps=40)
         J = [lyapunov_J(X0, ops, dw)] + [d.J for d in diags]
         assert np.all(np.diff(J) <= 1e-12)
+
+
+    def test_quadrature_built_once_per_rule(self, monkeypatch, dw):
+        calls = Counter()
+        original = fem.quadrature_points
+
+        def counted(mesh, npts):
+            calls[npts] += 1
+            return original(mesh, npts)
+
+        monkeypatch.setattr(fem, "quadrature_points", counted)
+        fresh = assemble(build_interval_mesh(1.0, 32))
+        dWs = noisy_increments(fresh, 20, 0.02)
+        X0 = constant_field(fresh, 0.1)
+        states, _ = run_trajectory(X0, dWs, StepperConfig(k=0.001), fresh, dw, store="all")
+        assert len(states) == 21
+        assert calls and max(calls.values()) == 1, dict(calls)
 
 
 class TestLyapunov:
