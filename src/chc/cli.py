@@ -82,12 +82,17 @@ class Study:
     ``kwargs`` maps a bundle that holds only the domain keys and ``keys`` to
     the function's keyword arguments; the domain is passed as ``domain``.
     The function is named, not held, so that it is looked up on the module
-    when the study runs.
+    when the study runs.  ``interval_only`` is empty for a study that runs
+    on every domain, and otherwise says why it runs only on the interval.
     """
 
     function: str
     keys: tuple = ()
     kwargs: Callable[[Bundle], dict] = lambda b: {}
+    interval_only: str = ""
+
+
+_DENSE_2D = "its 2-D sweep passes the dense eigensolve limit"
 
 
 # Keys of every study that marches the nonlinear scheme along a noise path.
@@ -107,12 +112,13 @@ STUDIES = {
         ("n", "N", *_PATH_KEYS),
         lambda b: dict(n=b.n, N=b.N, **_path_kwargs(b)),
     ),
-    "study-det": Study("det_linear_rate_study"),
-    "study-det-deriv": Study("det_derivative_rate_study"),
+    "study-det": Study("det_linear_rate_study", interval_only=_DENSE_2D),
+    "study-det-deriv": Study("det_derivative_rate_study", interval_only=_DENSE_2D),
     "study-stoch-conv": Study(
         "stoch_conv_rate_study",
         ("r", "sigma", "M", "seed"),
         lambda b: dict(r=b.r, sigma=b.sigma, M=b.M, seed=b.seed),
+        interval_only=_DENSE_2D,
     ),
     "study-strong": Study(
         "strong_convergence_study",
@@ -121,6 +127,7 @@ STUDIES = {
             finest=(b.n, b.N), n_levels=b.levels, factor=b.factor, M=b.M,
             workers=b.workers, **_path_kwargs(b),
         ),
+        interval_only="levels are compared by prolongation, which exists only in 1-D",
     ),
     "study-moments": Study(
         "moment_bound_study",
@@ -170,6 +177,15 @@ def parse_config(path: str | None, overrides: dict | None = None) -> Bundle:
         raise ValueError("missing required key 'study'")
     if values["study"] not in STUDIES:
         raise ValueError(f"unknown study {values['study']!r}")
+    if values["domain"] not in _LENGTH_KEYS:
+        raise ValueError(
+            f"unknown domain {values['domain']!r}; expected one of {', '.join(_LENGTH_KEYS)}"
+        )
+    reason = STUDIES[values["study"]].interval_only
+    if reason and values["domain"] != "interval":
+        raise ValueError(
+            f"study {values['study']!r} does not run on domain {values['domain']!r}: {reason}"
+        )
     if values["N"] < 1:
         raise ValueError("N must be >= 1")
     if values["n"] < 2:
@@ -213,6 +229,8 @@ def dispatch(bundle: Bundle, outdir: str) -> int:
     else:
         report, rows, header = out, out.rows(), experiments.CSV_HEADER
     experiments.write_csv(os.path.join(outdir, csv_name), header, rows)
+    for message in report.extra.get("failures", ()):
+        print(f"{study}: {message}", file=sys.stderr)
 
     status = 0
     for check in report.checks:

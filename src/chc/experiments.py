@@ -594,20 +594,23 @@ def _run_level(level: _Level, inc: WienerIncrements, factor: int = 1, store: str
 def _strong_sample(params, m):
     """One coupled trajectory hierarchy; returns per-level sup-errors squared.
 
-    Returns (None, step-failure message) if Newton fails at any level, so
-    the study can surface the count without losing the whole campaign.
+    Returns (None, message) if Newton fails at any level, the message naming
+    the sample and the level, so the study can report the failure without
+    losing the whole campaign.
     """
     (domain, levels, T, noise, pot_coeffs, x0_coeffs) = params
     n_ref, N_ref = levels[-1]
     factors = tuple(N_ref // N for (_, N) in levels)
     inc = sample_increments(noise, T, N_ref, factors=factors, sample_index=m)
     ref = _level_context(domain, n_ref, noise, pot_coeffs, x0_coeffs)
+    label = f"n={n_ref},N={N_ref}"
     try:
         ref_states, _ = _run_level(ref, inc)
         X_ref = np.stack([s.X.values for s in ref_states])
 
         sup_errs = []
         for (n, N) in levels[:-1]:
+            label = f"n={n},N={N}"
             fac = N_ref // N
             level = _level_context(domain, n, noise, pot_coeffs, x0_coeffs)
             states, _ = _run_level(level, inc, fac)
@@ -617,7 +620,7 @@ def _strong_sample(params, m):
                 e2 = max(e2, float(d @ (ref.ops.M @ d)))
             sup_errs.append(e2)
     except NewtonError as err:
-        return None, f"sample {m}: {err}"
+        return None, f"sample {m}: {label}: {err}"
     return sup_errs, inc.checksum()
 
 
@@ -659,17 +662,17 @@ def strong_convergence_study(
     params = (domain, tuple(levels), T, noise, pot.F_coeffs, tuple(x0_coeffs))
     fn = functools.partial(_strong_sample, params)
 
-    failures = 0
+    failures = []
     per_level = []
     checksums = []
-    for errs, digest in map_samples(fn, M, workers):
+    for errs, detail in map_samples(fn, M, workers):
         if errs is None:
-            failures += 1
+            failures.append(detail)
             continue
         per_level.append(errs)
-        checksums.append(digest)
+        checksums.append(detail)
     if not per_level:
-        raise RuntimeError("every sample failed the Newton solve")
+        raise RuntimeError(f"every sample failed the Newton solve; first: {failures[0]}")
     errors2 = np.array(per_level)  # (samples, n_levels-1)
     n_ok = errors2.shape[0]
     means = errors2.mean(axis=0)
@@ -703,26 +706,29 @@ def strong_convergence_study(
             bool(separated),
             f"gap={means[0] - means[-1]:.3e}, 2(SE_c+SE_f)={2 * (ses[0] + ses[-1]):.3e}",
         ),
-        Check("no Newton failures", failures == 0, f"failures={failures}"),
+        Check("no Newton failures", not failures, f"failures={len(failures)}"),
     ]
     return StudyReport(
         "strong",
         [res],
         checks,
-        extra={"checksums": checksums, "observed_slope": slope},
+        extra={"checksums": checksums, "observed_slope": slope, "failures": failures},
     )
 
 
 def _moment_sample(params, m):
-    """Per-sample supremum statistics for one ladder level."""
+    """Per-sample supremum statistics for one ladder level.
+
+    Returns (statistics, None), or (None, message) if Newton fails.
+    """
     (domain, n, N, T, noise, pot_coeffs, x0_coeffs) = params
     inc = sample_increments(noise, T, N, sample_index=m)
     level = _level_context(domain, n, noise, pot_coeffs, x0_coeffs)
     ops, pot, X0 = level.ops, level.pot, level.X0
     try:
         states, diags = _run_level(level, inc)
-    except NewtonError:
-        return None
+    except NewtonError as err:
+        return None, f"sample {m}: n={n},N={N}: {err}"
 
     J0 = lyapunov_J(X0, ops, pot)
     sup_J = max(J0, max(d.J for d in diags))
@@ -732,7 +738,7 @@ def _moment_sample(params, m):
     # the mean constraint of the |.|_{-1,h} solve discards the mean of X
     sup_minus1 = max(minus_one_norm_cg(s.X, ops) ** 2 for s in states)
     sup_l2 = max(float(s.X.values @ (ops.M @ s.X.values)) for s in states)
-    return sup_J, sum_Y, sup_minus1, sup_l2, mass_dev
+    return (sup_J, sum_Y, sup_minus1, sup_l2, mass_dev), None
 
 
 def moment_bound_study(
@@ -764,16 +770,18 @@ def moment_bound_study(
     stats = {"sup_J": [], "sum_Y": [], "sup_minus1": [], "sup_l2": [], "mass": []}
     second = {"sup_J": [], "sum_Y": [], "sup_minus1": [], "sup_l2": []}
     rows = []
-    failures = 0
+    failures = []
     noise = NoiseSpec(r=r, sigma=sigma, J=J, seed=seed)
     for (n, N) in ladder:
         params = (domain, n, N, T, noise, pot.F_coeffs, tuple(x0_coeffs))
         fn = functools.partial(_moment_sample, params)
         results = map_samples(fn, M, workers)
-        failures += sum(1 for v in results if v is None)
-        vals = np.array([v for v in results if v is not None])  # (ok, 5)
+        failures += [msg for v, msg in results if v is None]
+        vals = np.array([v for v, _ in results if v is not None])  # (ok, 5)
         if not len(vals):
-            raise RuntimeError(f"every sample failed the Newton solve at n={n}, N={N}")
+            raise RuntimeError(
+                f"every sample failed the Newton solve at n={n}, N={N}; first: {failures[-1]}"
+            )
         for i, key in enumerate(("sup_J", "sum_Y", "sup_minus1", "sup_l2")):
             stats[key].append(float(vals[:, i].mean()))
             second[key].append(float((vals[:, i] ** 2).mean()))
@@ -803,10 +811,13 @@ def moment_bound_study(
         Check("E sup J ratio <= 3", r_J <= 3.0, f"ratio={r_J:.3f}"),
         Check("E sum k|Y|_1^2 ratio <= 3", r_Y <= 3.0, f"ratio={r_Y:.3f}"),
         Check("mass deviation <= 1e-10", mass_worst <= 1e-10, f"max={mass_worst:.2e}"),
-        Check("no Newton failures", failures == 0, f"failures={failures}"),
+        Check("no Newton failures", not failures, f"failures={len(failures)}"),
     ]
     return StudyReport(
-        "moments", [res], checks, extra={"first_moments": stats, "second_moments": second}
+        "moments",
+        [res],
+        checks,
+        extra={"first_moments": stats, "second_moments": second, "failures": failures},
     )
 
 

@@ -22,6 +22,7 @@ from .spectral import EigenBasis, SpectralField
 __all__ = [
     "Mesh",
     "OperatorSet",
+    "NewtonSystem",
     "FemFunction",
     "DiscreteSpectrum",
     "build_interval_mesh",
@@ -197,11 +198,53 @@ def points_for_field(mesh: Mesh, v: FieldLike, base: int = 3) -> int:
 # -- operators ------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class NewtonSystem:
+    """The Newton matrix [[M, kK], [K + B'(X), -M]] of one time step k.
+
+    ``static`` is [[M, kK], [K, -M]] in canonical CSC form, with an explicit
+    entry at every (cell, i, l) position of B'(X), the pattern of M in the
+    lower-left block.  ``slots[c * nloc**2 + i * nloc + l]`` is the position
+    in ``static.data`` of the entry (n + cells[c, i], cells[c, l]) of B'.
+    """
+
+    static: sp.csc_matrix
+    slots: np.ndarray
+
+    @classmethod
+    def assemble(cls, M: sp.spmatrix, K: sp.spmatrix, cells: np.ndarray, k: float):
+        """The template and slot map for mass M, stiffness K and time step k."""
+        n = M.shape[0]
+        M, K = M.tocoo(), K.tocoo()
+        nloc = cells.shape[1]
+        rows = np.concatenate(
+            [M.row, K.row, K.row + n, M.row + n, n + np.repeat(cells, nloc, axis=1).ravel()]
+        )
+        cols = np.concatenate(
+            [M.col, K.col + n, K.col, M.col + n, np.tile(cells, (1, nloc)).ravel()]
+        )
+        vals = np.concatenate([M.data, k * K.data, K.data, -M.data, np.zeros(cells.size * nloc)])
+        # Sorting by (column, row) gives the canonical CSC order; the pattern
+        # entries of B' add exact zeros, so every static value is M, kK or K.
+        keys, inverse = np.unique(cols * (2 * n) + rows, return_inverse=True)
+        indptr = np.searchsorted(keys // (2 * n), np.arange(2 * n + 1))
+        static = sp.csc_matrix(
+            (np.bincount(inverse, vals), keys % (2 * n), indptr), shape=(2 * n, 2 * n)
+        )
+        return cls(static, inverse[-cells.size * nloc:])
+
+    def jacobian(self, local: np.ndarray) -> sp.csc_matrix:
+        """The Newton matrix for the local B' matrices ``local[c, i, l]``."""
+        A = self.static
+        data = A.data + np.bincount(self.slots, local.ravel(), minlength=A.nnz)
+        return sp.csc_matrix((data, A.indices, A.indptr), shape=A.shape)
+
+
 class OperatorSet:
     """Assembled mass and stiffness matrices with the per-mesh caches.
 
-    Factorizations, quadrature rules and mode-load matrices are built on
-    first use and kept for the life of the object.
+    Factorizations, quadrature rules, mode-load matrices and Newton systems
+    are built on first use and kept for the life of the object.
     """
 
     def __init__(self, mesh: Mesh, M: sp.csr_matrix, K: sp.csr_matrix):
@@ -214,6 +257,7 @@ class OperatorSet:
         self._Kaug_lu = None
         self._quad = {}
         self._mode_loads = {}
+        self._newton = {}
 
     @property
     def n_dofs(self) -> int:
@@ -224,6 +268,12 @@ class OperatorSet:
         if npts not in self._quad:
             self._quad[npts] = quadrature_points(self.mesh, npts)
         return self._quad[npts]
+
+    def newton_system(self, k: float) -> NewtonSystem:
+        """The backward Euler Newton system of time step k, built once per k."""
+        if k not in self._newton:
+            self._newton[k] = NewtonSystem.assemble(self.M, self.K, self.mesh.cells, k)
+        return self._newton[k]
 
     def mode_loads(self, basis: EigenBasis) -> np.ndarray:
         """B[:, j] = load_vector(self, phi_j) for the modes of ``basis``, built once.

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fem import FemFunction, OperatorSet
@@ -76,27 +75,11 @@ class NewtonError(RuntimeError):
         self.history = history
 
 
-def _nonlinear_load(ops: OperatorSet, pot: Potential, values: np.ndarray, quad):
-    """b_i = int f(X) phi_i dx with the assembly quadrature."""
-    pts, wts, shapes = quad
-    vals = values[ops.mesh.cells] @ shapes.T  # (nc, nq)
-    contrib = np.einsum("cq,cq,ql->cl", wts, pot.f(vals), shapes)
-    b = np.zeros(ops.n_dofs)
-    np.add.at(b, ops.mesh.cells, contrib)
-    return b
-
-
-def _nonlinear_jacobian(ops: OperatorSet, pot: Potential, values: np.ndarray, quad):
-    """B'(X)_{il} = int f'(X) phi_i phi_l dx, same quadrature as assembly."""
-    pts, wts, shapes = quad
-    vals = values[ops.mesh.cells] @ shapes.T
-    w = wts * pot.f_prime(vals)  # (nc, nq)
-    loc = np.einsum("cq,qi,ql->cil", w, shapes, shapes)
-    nloc = ops.mesh.cells.shape[1]
-    rows = np.repeat(ops.mesh.cells, nloc, axis=1).ravel()
-    cols = np.tile(ops.mesh.cells, (1, nloc)).ravel()
-    n = ops.n_dofs
-    return sp.coo_matrix((loc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+def _nonlinear_load(ops: OperatorSet, pot: Potential, vals: np.ndarray, quad):
+    """b_i = int f(X) phi_i dx from X at the quadrature points, vals[c, q]."""
+    _, wts, shapes = quad
+    contrib = (wts * pot.f(vals)) @ shapes  # (nc, nloc)
+    return np.bincount(ops.mesh.cells.ravel(), contrib.ravel(), minlength=ops.n_dofs)
 
 
 def functional_F(X: FemFunction, pot: Potential, ops: OperatorSet, npts: int = 3) -> float:
@@ -126,7 +109,7 @@ def dissipativity_check(pot: Potential, fields: list, ops: OperatorSet, npts: in
 def chemical_potential(X: FemFunction, ops: OperatorSet, pot: Potential, npts: int = 3) -> FemFunction:
     """Y with M Y = K X + b(X); the discrete chemical potential."""
     quad = ops.quadrature(npts)
-    rhs = ops.K @ X.values + _nonlinear_load(ops, pot, X.values, quad)
+    rhs = ops.K @ X.values + _nonlinear_load(ops, pot, X.at_quadrature(quad), quad)
     return FemFunction(ops.mesh, ops.solve_M(rhs))
 
 
@@ -137,24 +120,30 @@ def backward_euler_step(
     ops: OperatorSet,
     pot: Potential,
 ) -> tuple[State, StepDiagnostics]:
-    """One fully implicit step driven by the projected noise increment."""
-    n = ops.n_dofs
-    M, K, k = ops.M, ops.K, cfg.k
-    quad = ops.quadrature(cfg.quad_npts)
+    """One fully implicit step driven by the projected noise increment.
 
-    rhs1 = M @ (prev.X.values + dW_h.values)
+    The Newton matrix of (ops, k) is cached on ``ops``; each iteration
+    refills its B'(X) slots and factorizes it afresh.
+    """
+    n = ops.n_dofs
+    system = ops.newton_system(cfg.k)
+    quad = ops.quadrature(cfg.quad_npts)
+    _, wts, shapes = quad
+    cells = ops.mesh.cells
+
+    rhs1 = ops.M @ (prev.X.values + dW_h.values)
     rhs_norm = np.linalg.norm(rhs1)
     tol = cfg.newton_atol + cfg.newton_rtol * rhs_norm
 
-    x = prev.X.values.copy()
-    y = prev.Y.values.copy()
+    z = np.concatenate([prev.X.values, prev.Y.values])  # (X, Y) stacked
     history = []
     iters = 0
     while True:
-        bx = _nonlinear_load(ops, pot, x, quad)
-        r1 = M @ x + k * (K @ y) - rhs1
-        r2 = K @ x + bx - M @ y
-        res = np.sqrt(np.linalg.norm(r1) ** 2 + np.linalg.norm(r2) ** 2)
+        vals = z[:n][cells] @ shapes.T  # X at the quadrature points
+        res_vec = system.static @ z
+        res_vec[:n] -= rhs1
+        res_vec[n:] += _nonlinear_load(ops, pot, vals, quad)
+        res = np.linalg.norm(res_vec)
         history.append(res)
         if res <= tol:
             break
@@ -164,13 +153,12 @@ def backward_euler_step(
                 f"(tol {tol:.3e})",
                 history,
             )
-        Bp = _nonlinear_jacobian(ops, pot, x, quad)
-        jac = sp.bmat([[M, k * K], [K + Bp, -M]], format="csc")
-        delta = spla.splu(jac).solve(np.concatenate([r1, r2]))
-        x = x - delta[:n]
-        y = y - delta[n:]
+        local = np.einsum("cq,qi,ql->cil", wts * pot.f_prime(vals), shapes, shapes)
+        jac = system.jacobian(local)
+        z = z - spla.splu(jac, permc_spec="MMD_AT_PLUS_A").solve(res_vec)
         iters += 1
 
+    x, y = z[:n], z[n:]
     X_new = FemFunction(ops.mesh, x)
     Y_new = FemFunction(ops.mesh, y)
     diag = StepDiagnostics(
@@ -178,9 +166,9 @@ def backward_euler_step(
         residual=history[-1],
         mass=ops.mean(x),
         J=lyapunov_J(X_new, ops, pot, cfg.quad_npts),
-        Y_h1=float(np.sqrt(max(0.0, y @ (K @ y)))),
+        Y_h1=float(np.sqrt(max(0.0, y @ (ops.K @ y)))),
     )
-    return State(X_new, Y_new, prev.step + 1, prev.t + k), diag
+    return State(X_new, Y_new, prev.step + 1, prev.t + cfg.k), diag
 
 
 def energy_residual(

@@ -156,6 +156,48 @@ class TestMain:
         assert (out / "run.csv").exists()
 
 
+class TestRefusedAtParseTime:
+    def test_unknown_domain_exits_2_without_manifest(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "study = run\ndomain = disk\n")
+        out = tmp_path / "disk"
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", cfg, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unknown domain 'disk'" in capsys.readouterr().err
+        assert not (out / "manifest.txt").exists()
+
+    @pytest.mark.parametrize(
+        "study", ["study-det", "study-det-deriv", "study-stoch-conv", "study-strong"]
+    )
+    def test_interval_only_study_on_rectangle_exits_2(self, study, tmp_path, capsys):
+        cfg = write_config(tmp_path, f"study = {study}\ndomain = rectangle\nn = 8\n")
+        out = tmp_path / "rect"
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", cfg, "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"study '{study}' does not run on domain 'rectangle'" in err
+        assert not (out / "manifest.txt").exists()
+
+    def test_run_on_rectangle_exits_0(self, tmp_path):
+        cfg = write_config(
+            tmp_path, "study = run\ndomain = rectangle\nn = 4\nN = 4\nT = 0.004\nJ = 8\n"
+        )
+        out = tmp_path / "rect_run"
+        assert main(["--config", cfg, "--out", str(out)]) == 0
+        assert len((out / "run.csv").read_text().splitlines()) == 5
+
+
+def test_newton_failure_messages_reach_stderr(tmp_path, capsys, first_config_fails):
+    cfg = write_config(
+        tmp_path, "study = study-strong\nn = 16\nN = 16\nlevels = 3\nT = 0.01\nM = 3\nJ = 8\n"
+    )
+    assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    captured = capsys.readouterr()
+    assert "[FAIL] study-strong: no Newton failures (failures=1)" in captured.out
+    assert "study-strong: sample 0: n=16,N=16: step 1: Newton stalled" in captured.err
+
+
 class TestSubprocess:
     def test_invalid_subcommand_exit_2(self):
         proc = subprocess.run(

@@ -143,6 +143,24 @@ class TestTinyMoments:
         assert hs == pytest.approx([np.sqrt(2.0) / 4.0, np.sqrt(2.0) / 8.0], rel=1e-15)
 
 
+class TestNewtonFailures:
+    def test_strong_keeps_the_message(self, first_config_fails):
+        report = strong_convergence_study(finest=(16, 16), n_levels=3, T=0.01, M=3, J=8)
+        [message] = report.extra["failures"]
+        assert message.startswith("sample 0: n=16,N=16: step 1: Newton stalled at residual")
+        assert "after 0 iterations" in message
+        named = {c.name: c for c in report.checks}
+        assert named["no Newton failures"].detail == "failures=1"
+        assert not named["no Newton failures"].ok
+
+    def test_moments_keep_the_message(self, first_config_fails):
+        report = moment_bound_study(ladder=((8, 8), (16, 16)), T=0.01, M=3, J=8)
+        [message] = report.extra["failures"]
+        assert message.startswith("sample 0: n=8,N=8: step 1: Newton stalled at residual")
+        named = {c.name: c for c in report.checks}
+        assert named["no Newton failures"].detail == "failures=1"
+
+
 class TestTinyHolder:
     def test_quotients_finite(self):
         report = holder_probe(n=16, N_fine=64, factors=(2, 1), T=0.05, J=16)

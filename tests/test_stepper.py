@@ -4,12 +4,15 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from chc import fem
 from chc.fem import (
     FemFunction,
     assemble,
     build_interval_mesh,
+    build_rectangle_mesh,
     discrete_spectrum,
     project_l2,
 )
@@ -175,6 +178,109 @@ class TestTrajectory:
         states, _ = run_trajectory(X0, dWs, StepperConfig(k=0.001), fresh, dw, store="all")
         assert len(states) == 21
         assert calls and max(calls.values()) == 1, dict(calls)
+
+
+def coo_nonlinear_jacobian(ops, pot, x, quad):
+    """B'(X)_{il} = int f'(X) phi_i phi_l dx by COO assembly, and its local matrices."""
+    _, wts, shapes = quad
+    cells = ops.mesh.cells
+    vals = x[cells] @ shapes.T
+    local = np.einsum("cq,qi,ql->cil", wts * pot.f_prime(vals), shapes, shapes)
+    nloc = cells.shape[1]
+    rows = np.repeat(cells, nloc, axis=1).ravel()
+    cols = np.tile(cells, (1, nloc)).ravel()
+    n = ops.n_dofs
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr(), local
+
+
+def reference_step(x, y, dW, k, ops, pot, quad):
+    """One backward Euler step with the block Jacobian rebuilt by bmat every iteration."""
+    _, wts, shapes = quad
+    M, K, cells = ops.M, ops.K, ops.mesh.cells
+    cfg = StepperConfig(k=k)
+    rhs1 = M @ (x + dW)
+    tol = cfg.newton_atol + cfg.newton_rtol * np.linalg.norm(rhs1)
+    iters = 0
+    while True:
+        b = np.zeros(ops.n_dofs)
+        np.add.at(b, cells, (wts * pot.f(x[cells] @ shapes.T)) @ shapes)
+        r1 = M @ x + k * (K @ y) - rhs1
+        r2 = K @ x + b - M @ y
+        if np.hypot(np.linalg.norm(r1), np.linalg.norm(r2)) <= tol:
+            return x, y, iters
+        Bp, _ = coo_nonlinear_jacobian(ops, pot, x, quad)
+        jac = sp.bmat([[M, k * K], [K + Bp, -M]], format="csc")
+        delta = spla.splu(jac).solve(np.concatenate([r1, r2]))
+        x, y = x - delta[: ops.n_dofs], y - delta[ops.n_dofs :]
+        iters += 1
+
+
+class TestNewtonSystem:
+    @pytest.mark.parametrize(
+        "mesh",
+        [build_interval_mesh(1.0, 16), build_rectangle_mesh(2.0, 1.0, 6, 5)],
+        ids=["interval", "rectangle"],
+    )
+    def test_template_jacobian_matches_block_assembly(self, mesh, dw):
+        ops = assemble(mesh)
+        k = 1e-3
+        x = np.random.default_rng(3).uniform(-1.5, 1.5, ops.n_dofs)
+        Bp, local = coo_nonlinear_jacobian(ops, dw, x, ops.quadrature(3))
+        expect = sp.bmat([[ops.M, k * ops.K], [ops.K + Bp, -ops.M]]).toarray()
+        jac = ops.newton_system(k).jacobian(local)
+        assert jac.format == "csc" and jac.has_canonical_format
+        err = np.abs(jac.toarray() - expect).max()
+        assert err <= 1e-14 * np.abs(expect).max()
+
+    def test_built_once_per_ops_and_k(self, monkeypatch, dw):
+        calls = Counter()
+        original = fem.NewtonSystem.assemble
+
+        def counted(M, K, cells, k):
+            calls[k] += 1
+            return original(M, K, cells, k)
+
+        monkeypatch.setattr(fem.NewtonSystem, "assemble", staticmethod(counted))
+        fresh = assemble(build_interval_mesh(1.0, 32))
+        dWs = noisy_increments(fresh, 20, 0.02)
+        X0 = constant_field(fresh, 0.1)
+        for _ in range(2):
+            _, diags = run_trajectory(X0, dWs, StepperConfig(k=0.001), fresh, dw)
+        assert sum(d.newton_iters for d in diags) > 20
+        assert calls == {0.001: 1}
+
+    def test_no_bmat_while_stepping(self, monkeypatch, dw):
+        calls = []
+        monkeypatch.setattr(sp, "bmat", lambda *a, **kw: calls.append(a))
+        fresh = assemble(build_interval_mesh(1.0, 32))
+        dWs = noisy_increments(fresh, 20, 0.02)
+        states, _ = run_trajectory(
+            constant_field(fresh, 0.1), dWs, StepperConfig(k=0.001), fresh, dw, store="all"
+        )
+        assert len(states) == 21 and calls == []
+
+    def test_rectangle_iterations_match_bmat_newton(self, dw):
+        ops = assemble(build_rectangle_mesh(1.0, 1.0, 16, 16))
+        domain = DomainSpec.rectangle(1.0, 1.0)
+        basis = build_basis(domain, 16)
+        spec = NoiseSpec(r=2.0, sigma=1.0, J=16, seed=5)
+        n_steps, T = 20, 0.02
+        inc = sample_increments(spec, T, n_steps)
+        nodal = ops.project_modes(basis, field_coefficients(spec, basis, inc.dbeta_fine))
+        dWs = [FemFunction(ops.mesh, nodal[:, j]) for j in range(n_steps)]
+        c0 = np.zeros(16)
+        c0[1:3] = (0.1, 0.05)
+        X0 = project_l2(SpectralField(basis, c0), ops)
+        k = T / n_steps
+        states, diags = run_trajectory(X0, dWs, StepperConfig(k=k), ops, dw, store="all")
+
+        x, y = X0.values, states[0].Y.values
+        expect = []
+        for dW in dWs:
+            x, y, iters = reference_step(x, y, dW.values, k, ops, dw, ops.quadrature(3))
+            expect.append(iters)
+        assert [d.newton_iters for d in diags] == expect
+        assert np.abs(states[-1].X.values - x).max() < 1e-12
 
 
 class TestLyapunov:
