@@ -1,6 +1,7 @@
 """Command-line entry point: parse a flat config, dispatch a study or run.
 
-Config files are flat ``key = value`` text; unknown keys are errors.  Every
+Config files are flat ``key = value`` text; unknown keys, keys the study
+does not read and level ladders that do not nest are errors.  Every
 invocation writes its resolved manifest before computing anything, then one
 CSV per study.  The exit status is 0 iff every study check passed.
 """
@@ -147,7 +148,7 @@ STUDIES = {
 
 def parse_config(path: str | None, overrides: dict | None = None) -> Bundle:
     """Read a flat key = value file, apply overrides, validate against schema."""
-    raw = {}
+    raw = {}  # the file's keys, then the overrides
     if path is not None:
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
@@ -158,6 +159,7 @@ def parse_config(path: str | None, overrides: dict | None = None) -> Bundle:
                     raise ValueError(f"{path}:{lineno}: expected key = value")
                 key, _, value = line.partition("=")
                 raw[key.strip()] = value.strip()
+    file_keys = set(raw)
     if overrides:
         raw.update({k: v for k, v in overrides.items() if v is not None})
 
@@ -175,17 +177,21 @@ def parse_config(path: str | None, overrides: dict | None = None) -> Bundle:
 
     if values["study"] is None:
         raise ValueError("missing required key 'study'")
-    if values["study"] not in STUDIES:
-        raise ValueError(f"unknown study {values['study']!r}")
+    study = values["study"]
+    if study not in STUDIES:
+        raise ValueError(f"unknown study {study!r}")
     if values["domain"] not in _LENGTH_KEYS:
         raise ValueError(
             f"unknown domain {values['domain']!r}; expected one of {', '.join(_LENGTH_KEYS)}"
         )
-    reason = STUDIES[values["study"]].interval_only
+    reason = STUDIES[study].interval_only
     if reason and values["domain"] != "interval":
         raise ValueError(
-            f"study {values['study']!r} does not run on domain {values['domain']!r}: {reason}"
+            f"study {study!r} does not run on domain {values['domain']!r}: {reason}"
         )
+    unread = sorted(file_keys - set(_read_keys(Bundle(values))))
+    if unread:
+        raise ValueError(f"study {study!r} does not read config keys {', '.join(unread)}")
     if values["N"] < 1:
         raise ValueError("N must be >= 1")
     if values["n"] < 2:
@@ -194,7 +200,25 @@ def parse_config(path: str | None, overrides: dict | None = None) -> Bundle:
         raise ValueError("T must be positive")
     if values["M"] < 1:
         raise ValueError("M must be >= 1")
+    _check_ladder(study, values)
     return Bundle(values)
+
+
+def _check_ladder(study: str, v: dict) -> None:
+    """Refuse level ladders whose coarse meshes and time grids do not nest in the finest."""
+    if study == "study-strong":
+        if v["levels"] < 2 or v["factor"] < 2:
+            raise ValueError(f"study {study!r} needs levels >= 2 and factor >= 2")
+        coarsening = v["factor"] ** (v["levels"] - 1)
+        if v["n"] % coarsening or v["N"] % coarsening or v["n"] // coarsening < 2:
+            raise ValueError(
+                f"study {study!r}: levels do not nest: n={v['n']} and N={v['N']} must be "
+                f"multiples of factor**(levels-1) = {coarsening}, with n/{coarsening} >= 2"
+            )
+    if study == "probe-holder" and v["N"] % 4:
+        raise ValueError(
+            f"study {study!r}: N={v['N']} must be a multiple of 4 (it steps with N/4, N/2 and N)"
+        )
 
 
 def _read_keys(bundle: Bundle) -> list:

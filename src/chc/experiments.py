@@ -87,6 +87,12 @@ class RateStudyResult:
     def errors(self) -> np.ndarray:
         return np.array([lv.error for lv in self.levels])
 
+    @classmethod
+    def fit(cls, sweep: str, levels: list[LevelResult], x: str = "h") -> RateStudyResult:
+        """The sweep with the log-log slope and R^2 of its errors against ``x`` ("h" or "k")."""
+        slope, r2 = fit_loglog([getattr(lv, x) for lv in levels], [lv.error for lv in levels])
+        return cls(sweep, levels, slope, r2)
+
 
 @dataclass(frozen=True)
 class Check:
@@ -134,13 +140,20 @@ def fit_loglog(xs, errors) -> tuple[float, float]:
     return float(sol[0]), r2
 
 
-def _make_rate_result(sweep, names, hs, ks, Ms, errors, stderrs, xs) -> RateStudyResult:
-    slope, r2 = fit_loglog(xs, errors)
-    levels = [
-        LevelResult(str(nm), float(h), float(k), int(m), float(e), float(se))
-        for nm, h, k, m, e, se in zip(names, hs, ks, Ms, errors, stderrs)
-    ]
-    return RateStudyResult(sweep, levels, slope, r2)
+def _slope_check(label: str, res: RateStudyResult, lo: float, hi: float | None = None) -> Check:
+    """``<label> slope in [lo, hi]``, or ``<label> slope >= lo`` without an upper end."""
+    name = f"{label} slope >= {lo}" if hi is None else f"{label} slope in [{lo}, {hi}]"
+    ok = lo <= res.slope and (hi is None or res.slope <= hi)
+    return Check(name, ok, f"slope={res.slope:.4f}")
+
+
+def _r2_check(label: str, res: RateStudyResult) -> Check:
+    return Check(f"{label} R2 >= 0.98", res.r2 >= 0.98, f"R2={res.r2:.5f}")
+
+
+def _spread(xs) -> float:
+    """max/min of positive values; infinite when the minimum is not positive."""
+    return max(xs) / min(xs) if min(xs) > 0 else float("inf")
 
 
 # -- output ------------------------------------------------------------------
@@ -185,11 +198,33 @@ def map_samples(fn, n_samples: int, workers: int = 1) -> list:
         return list(ex.map(fn, range(n_samples)))
 
 
+def _successes(results: list, failures: list, where: str = "") -> tuple[list, list]:
+    """Split (value, detail) sample results into the values and details of the successes.
+
+    A failed sample returns (None, message); its message is appended to
+    ``failures``.  Raises if every sample failed.
+    """
+    ok = [(value, detail) for value, detail in results if value is not None]
+    failed = [detail for value, detail in results if value is None]
+    failures += failed
+    if not ok:
+        raise RuntimeError(f"every sample failed the Newton solve{where}; first: {failed[0]}")
+    return [value for value, _ in ok], [detail for _, detail in ok]
+
+
+def _mean_se(samples: np.ndarray):
+    """Mean over the samples (axis 0) and its standard error, which is 0 for one sample."""
+    n = len(samples)
+    if n == 1:
+        return samples.mean(axis=0), np.zeros(samples.shape[1:])
+    return samples.mean(axis=0), samples.std(axis=0, ddof=1) / np.sqrt(n)
+
+
 # -- deterministic linear rates ----------------------------------------------
 
 
 def det_linear_rate_study(
-    domain: DomainSpec | None = None,
+    domain: DomainSpec = DomainSpec.interval(1.0),
     T_spatial: float = 0.01,
     ns_spatial: tuple = (16, 32, 64, 128),
     k_fraction: float = 1e-6,
@@ -210,32 +245,21 @@ def det_linear_rate_study(
     first-order resolvent rate instead, which would say nothing about the
     fractional exponent).
     """
-    if domain is None:
-        domain = DomainSpec.interval(1.0)
     basis = build_basis(domain, max(J_rough, 8))
     v1 = SpectralField.single_mode(basis, 1)
 
-    hs, errs = [], []
+    levels = []
     N_pow = int(round(1.0 / k_fraction))
+    k = k_fraction * T_spatial
     for n in ns_spatial:
         ops = _assembled(domain, n)
         spec = discrete_spectrum(ops)
         c = spec.coefficients(project_l2(v1, ops).values)
-        k = k_fraction * T_spatial
         c = c * np.exp(-N_pow * np.log1p(k * spec.eigenvalues**2))
         Xh = FemFunction(ops.mesh, spec.synthesize(c))
-        errs.append(l2_error(semigroup_apply(v1, T_spatial), Xh, ops))
-        hs.append(ops.mesh.h)
-    spatial = _make_rate_result(
-        "spatial",
-        [f"n={n}" for n in ns_spatial],
-        hs,
-        [k_fraction * T_spatial] * len(ns_spatial),
-        [1] * len(ns_spatial),
-        errs,
-        [0.0] * len(ns_spatial),
-        hs,
-    )
+        err = l2_error(semigroup_apply(v1, T_spatial), Xh, ops)
+        levels.append(LevelResult(f"n={n}", ops.mesh.h, k, 1, err, 0.0))
+    spatial = RateStudyResult.fit("spatial", levels)
 
     ops = _assembled(domain, n_temporal)
     cj = np.zeros(basis.J)
@@ -243,45 +267,27 @@ def det_linear_rate_study(
     v_rough = SpectralField(basis, cj)
     X0 = project_l2(v_rough, ops)
     pot = zero_potential()
-    ks, errs = [], []
+    levels = []
     for N in Ns_temporal:
         k = T_temporal / N
         states, _ = run_trajectory(
             X0, None, StepperConfig(k=k), ops, pot, n_steps=N, store="all"
         )
         sup = max(l2_error(semigroup_apply(v_rough, s.t), s.X, ops) for s in states[1:])
-        ks.append(k)
-        errs.append(sup)
-    temporal = _make_rate_result(
-        "temporal",
-        [f"N={N}" for N in Ns_temporal],
-        [ops.mesh.h] * len(Ns_temporal),
-        ks,
-        [1] * len(Ns_temporal),
-        errs,
-        [0.0] * len(Ns_temporal),
-        ks,
-    )
+        levels.append(LevelResult(f"N={N}", ops.mesh.h, k, 1, sup, 0.0))
+    temporal = RateStudyResult.fit("temporal", levels, x="k")
 
     checks = [
-        Check(
-            "spatial slope in [1.85, 2.15]",
-            1.85 <= spatial.slope <= 2.15,
-            f"slope={spatial.slope:.4f}",
-        ),
-        Check("spatial R2 >= 0.98", spatial.r2 >= 0.98, f"R2={spatial.r2:.5f}"),
-        Check(
-            "temporal slope in [0.4, 0.6]",
-            0.4 <= temporal.slope <= 0.6,
-            f"slope={temporal.slope:.4f}",
-        ),
-        Check("temporal R2 >= 0.98", temporal.r2 >= 0.98, f"R2={temporal.r2:.5f}"),
+        _slope_check("spatial", spatial, 1.85, 2.15),
+        _r2_check("spatial", spatial),
+        _slope_check("temporal", temporal, 0.4, 0.6),
+        _r2_check("temporal", temporal),
     ]
     return StudyReport("det", [spatial, temporal], checks)
 
 
 def det_derivative_rate_study(
-    domain: DomainSpec | None = None,
+    domain: DomainSpec = DomainSpec.interval(1.0),
     t: float = 0.01,
     ns_spatial: tuple = (16, 32, 64, 128),
     n_temporal: int = 512,
@@ -294,8 +300,6 @@ def det_derivative_rate_study(
     fixed mesh, expected slope at least 1/2.  Both use discrete-spectrum
     exponentials/powers; the stepper is certified against those separately.
     """
-    if domain is None:
-        domain = DomainSpec.interval(1.0)
     basis = build_basis(domain, 8)
     v1 = SpectralField.single_mode(basis, 1)
     lam1 = basis.eigenvalues[1]
@@ -303,52 +307,33 @@ def det_derivative_rate_study(
     c_exact[1] = lam1 * np.exp(-t * lam1**2)
     AEv = SpectralField(basis, c_exact)
 
-    hs, errs = [], []
+    levels = []
     for n in ns_spatial:
         ops = _assembled(domain, n)
         spec = discrete_spectrum(ops)
         c = spec.coefficients(project_l2(v1, ops).values)
         c = spec.eigenvalues * np.exp(-t * spec.eigenvalues**2) * c
         Xh = FemFunction(ops.mesh, spec.synthesize(c))
-        errs.append(l2_error(AEv, Xh, ops))
-        hs.append(ops.mesh.h)
-    h_sweep = _make_rate_result(
-        "h",
-        [f"n={n}" for n in ns_spatial],
-        hs,
-        [0.0] * len(ns_spatial),
-        [1] * len(ns_spatial),
-        errs,
-        [0.0] * len(ns_spatial),
-        hs,
-    )
+        levels.append(LevelResult(f"n={n}", ops.mesh.h, 0.0, 1, l2_error(AEv, Xh, ops), 0.0))
+    h_sweep = RateStudyResult.fit("h", levels)
 
     ops = _assembled(domain, n_temporal)
     spec = discrete_spectrum(ops)
     c0 = spec.coefficients(project_l2(v1, ops).values)
     lam = spec.eigenvalues
-    ks, errs = [], []
+    levels = []
     for N in Ns_temporal:
         k = t / N
         diff = lam * ((1 + k * lam**2) ** (-N) - np.exp(-t * lam**2)) * c0
-        errs.append(float(np.sqrt(np.sum(diff**2))))
-        ks.append(k)
-    k_sweep = _make_rate_result(
-        "k",
-        [f"N={N}" for N in Ns_temporal],
-        [ops.mesh.h] * len(Ns_temporal),
-        ks,
-        [1] * len(Ns_temporal),
-        errs,
-        [0.0] * len(Ns_temporal),
-        ks,
-    )
+        err = float(np.sqrt(np.sum(diff**2)))
+        levels.append(LevelResult(f"N={N}", ops.mesh.h, k, 1, err, 0.0))
+    k_sweep = RateStudyResult.fit("k", levels, x="k")
 
     checks = [
-        Check("h-sweep slope >= 1.7", h_sweep.slope >= 1.7, f"slope={h_sweep.slope:.4f}"),
-        Check("h-sweep R2 >= 0.98", h_sweep.r2 >= 0.98, f"R2={h_sweep.r2:.5f}"),
-        Check("k-sweep slope >= 0.4", k_sweep.slope >= 0.4, f"slope={k_sweep.slope:.4f}"),
-        Check("k-sweep R2 >= 0.98", k_sweep.r2 >= 0.98, f"R2={k_sweep.r2:.5f}"),
+        _slope_check("h-sweep", h_sweep, 1.7),
+        _r2_check("h-sweep", h_sweep),
+        _slope_check("k-sweep", k_sweep, 0.4),
+        _r2_check("k-sweep", k_sweep),
     ]
     return StudyReport("det-deriv", [h_sweep, k_sweep], checks)
 
@@ -373,6 +358,39 @@ def _phi1(x):
     return np.where(x < 1e-8, 1.0 - x / 2.0, -np.expm1(-safe) / safe)
 
 
+def _rms_sup_error(
+    noise: NoiseSpec, G: np.ndarray, N: int, M: int, chunk: int, width: int, step
+) -> tuple[float, float]:
+    """RMS over M samples of sup_n ||W(t_n) - W_h^n||, with its delta-method SE.
+
+    The exact process is held by its J mode coefficients a, the scheme by
+    its coefficients w in the discrete eigenbasis, and G = <psi_i, phi_j>
+    couples the two.  Sample m draws normals of shape (J, N, width) from its
+    own stream; ``step(a, w, z)`` advances one step of a chunk from that
+    step's normals z, shape (J, width, chunk), and returns the new (a, w).
+    """
+    sup2 = np.empty(M)
+    for lo in range(0, M, chunk):
+        hi = min(lo + chunk, M)
+        z = np.stack(
+            [_rng_for_sample(noise.seed, m).standard_normal((noise.J, N, width))
+             for m in range(lo, hi)],
+            axis=-1,
+        )  # (J, N, width, m)
+        a = np.zeros((noise.J, hi - lo))
+        w = np.zeros((G.shape[0], hi - lo))
+        s2 = np.zeros(hi - lo)
+        for j in range(N):
+            a, w = step(a, w, z[:, j])
+            err2 = (a * a).sum(0) - 2 * (a * (G.T @ w)).sum(0) + (w * w).sum(0)
+            s2 = np.maximum(s2, err2)
+        sup2[lo:hi] = s2
+    mean, se = _mean_se(sup2)
+    if mean == 0.0:
+        return 0.0, 0.0
+    return float(np.sqrt(mean)), float(se) / (2.0 * np.sqrt(mean))
+
+
 def stoch_conv_level_error_temporal(
     domain: DomainSpec, noise: NoiseSpec, n: int, N: int, T: float, M: int,
     chunk: int = 50,
@@ -391,31 +409,13 @@ def stoch_conv_level_error_temporal(
     k = T / N
     D = 1.0 / (1.0 + k * spec.eigenvalues**2)
     dec = np.exp(-(lam**2) * k)
-    sup2 = np.empty(M)
-    for lo in range(0, M, chunk):
-        hi = min(lo + chunk, M)
-        z = np.stack(
-            [_rng_for_sample(noise.seed, m).standard_normal((noise.J, N, 2))
-             for m in range(lo, hi)],
-            axis=-1,
-        )  # (J, N, 2, m)
-        a = np.zeros((noise.J, hi - lo))
-        w = np.zeros((len(D), hi - lo))
-        s2 = np.zeros(hi - lo)
-        for j in range(N):
-            db, I = convolution_pair_from_normals(
-                lam[:, None], k, z[:, j, 0, :], z[:, j, 1, :]
-            )
-            a = dec[:, None] * a + field_coefficients(noise, basis, I)
-            w = D[:, None] * (w + G @ field_coefficients(noise, basis, db))
-            err2 = (a * a).sum(0) - 2 * (a * (G.T @ w)).sum(0) + (w * w).sum(0)
-            s2 = np.maximum(s2, err2)
-        sup2[lo:hi] = s2
-    mean = float(sup2.mean())
-    if mean == 0.0:
-        return 0.0, 0.0
-    se_mean = float(sup2.std(ddof=1) / np.sqrt(M)) if M > 1 else 0.0
-    return float(np.sqrt(mean)), se_mean / (2.0 * np.sqrt(mean))
+
+    def step(a, w, z):
+        db, I = convolution_pair_from_normals(lam[:, None], k, z[:, 0, :], z[:, 1, :])
+        a = dec[:, None] * a + field_coefficients(noise, basis, I)
+        return a, D[:, None] * (w + G @ field_coefficients(noise, basis, db))
+
+    return _rms_sup_error(noise, G, N, M, chunk, 2, step)
 
 
 def stoch_conv_level_error_spatial(
@@ -449,33 +449,17 @@ def stoch_conv_level_error_spatial(
         evals, evecs = np.linalg.eigh(C)
         roots[j] = evecs * np.sqrt(np.clip(evals, 0.0, None))
     Gq = field_coefficients(noise, basis, G.T).T  # column j of G times sigma sqrt(q_j)
-    sup2 = np.empty(M)
-    for lo in range(0, M, chunk):
-        hi = min(lo + chunk, M)
-        z = np.stack(
-            [_rng_for_sample(noise.seed, m).standard_normal((noise.J, N, Nh + 1))
-             for m in range(lo, hi)],
-            axis=-1,
-        )
-        a = np.zeros((noise.J, hi - lo))
-        w = np.zeros((Nh, hi - lo))
-        s2 = np.zeros(hi - lo)
-        for j in range(N):
-            g = np.einsum("jpq,jqm->jpm", roots, z[:, j, :, :])
-            a = dec_a[:, None] * a + field_coefficients(noise, basis, g[:, 0, :])
-            w = dec_w[:, None] * w + np.einsum("ij,jim->im", Gq, g[:, 1:, :])
-            err2 = (a * a).sum(0) - 2 * (a * (G.T @ w)).sum(0) + (w * w).sum(0)
-            s2 = np.maximum(s2, err2)
-        sup2[lo:hi] = s2
-    mean = float(sup2.mean())
-    if mean == 0.0:
-        return 0.0, 0.0
-    se_mean = float(sup2.std(ddof=1) / np.sqrt(M)) if M > 1 else 0.0
-    return float(np.sqrt(mean)), se_mean / (2.0 * np.sqrt(mean))
+
+    def step(a, w, z):
+        g = np.einsum("jpq,jqm->jpm", roots, z)
+        a = dec_a[:, None] * a + field_coefficients(noise, basis, g[:, 0, :])
+        return a, dec_w[:, None] * w + np.einsum("ij,jim->im", Gq, g[:, 1:, :])
+
+    return _rms_sup_error(noise, G, N, M, chunk, Nh + 1, step)
 
 
 def stoch_conv_rate_study(
-    domain: DomainSpec | None = None,
+    domain: DomainSpec = DomainSpec.interval(1.0),
     r: float = 2.0,
     sigma: float = 1.0,
     J: int = 64,
@@ -497,55 +481,24 @@ def stoch_conv_rate_study(
     error stops responding to k).  Spatial sweep with the time integral
     exact, isolating h^2.
     """
-    if domain is None:
-        domain = DomainSpec.interval(1.0)
     noise = NoiseSpec(r=r, sigma=sigma, J=J, seed=seed)
 
-    ks, errs, ses = [], [], []
+    levels = []
     for N in Ns_temporal:
         e, se = stoch_conv_level_error_temporal(domain, noise, n_temporal, N, T_temporal, M)
-        ks.append(T_temporal / N)
-        errs.append(e)
-        ses.append(se)
-    temporal = _make_rate_result(
-        "temporal",
-        [f"N={N}" for N in Ns_temporal],
-        [_assembled(domain, n_temporal).mesh.h] * len(Ns_temporal),
-        ks,
-        [M] * len(Ns_temporal),
-        errs,
-        ses,
-        ks,
-    )
+        h = _assembled(domain, n_temporal).mesh.h
+        levels.append(LevelResult(f"N={N}", h, T_temporal / N, M, e, se))
+    temporal = RateStudyResult.fit("temporal", levels, x="k")
 
-    hs, errs, ses = [], [], []
+    levels = []
     for n in ns_spatial:
         e, se = stoch_conv_level_error_spatial(domain, noise, n, N_spatial, T_spatial, M)
-        hs.append(_assembled(domain, n).mesh.h)
-        errs.append(e)
-        ses.append(se)
-    spatial = _make_rate_result(
-        "spatial",
-        [f"n={n}" for n in ns_spatial],
-        hs,
-        [0.0] * len(ns_spatial),
-        [M] * len(ns_spatial),
-        errs,
-        ses,
-        hs,
-    )
+        levels.append(LevelResult(f"n={n}", _assembled(domain, n).mesh.h, 0.0, M, e, se))
+    spatial = RateStudyResult.fit("spatial", levels)
 
     checks = [
-        Check(
-            "temporal slope in [0.35, 0.65]",
-            0.35 <= temporal.slope <= 0.65,
-            f"slope={temporal.slope:.4f}",
-        ),
-        Check(
-            "spatial slope in [1.6, 2.4]",
-            1.6 <= spatial.slope <= 2.4,
-            f"slope={spatial.slope:.4f}",
-        ),
+        _slope_check("temporal", temporal, 0.35, 0.65),
+        _slope_check("spatial", spatial, 1.6, 2.4),
     ]
     return StudyReport("stoch-conv", [temporal, spatial], checks)
 
@@ -625,7 +578,7 @@ def _strong_sample(params, m):
 
 
 def strong_convergence_study(
-    domain: DomainSpec | None = None,
+    domain: DomainSpec = DomainSpec.interval(1.0),
     finest: tuple = (128, 256),
     n_levels: int = 4,
     factor: int = 2,
@@ -635,10 +588,9 @@ def strong_convergence_study(
     r: float = 2.0,
     J: int = 32,
     seed: int = 42,
-    pot: Potential | None = None,
+    pot: Potential = double_well(),
     x0_coeffs: tuple = (0.0, 0.1, 0.05),
     workers: int = 1,
-    slack: float = 0.10,
 ) -> StudyReport:
     """Self-convergence of the nonlinear scheme on a coupled hierarchy.
 
@@ -646,14 +598,10 @@ def strong_convergence_study(
     all levels with one Brownian path (coarse increments are exact sums of
     the fine ones).  Reported per level: the Monte-Carlo estimate of
     E max_n ||X_ref(t_n) - X_l(t_n)||^2 on the level's own time grid.  No
-    rate is asserted, only decay: strictly decreasing up to the given
+    rate is asserted, only decay: strictly decreasing up to a 10%
     statistical slack, with a 2-standard-error separation between the
     coarsest and finest compared levels.
     """
-    if domain is None:
-        domain = DomainSpec.interval(1.0)
-    if pot is None:
-        pot = double_well()
     n_f, N_f = finest
     levels = [
         (n_f // factor**i, N_f // factor**i) for i in range(n_levels - 1, -1, -1)
@@ -663,37 +611,15 @@ def strong_convergence_study(
     fn = functools.partial(_strong_sample, params)
 
     failures = []
-    per_level = []
-    checksums = []
-    for errs, detail in map_samples(fn, M, workers):
-        if errs is None:
-            failures.append(detail)
-            continue
-        per_level.append(errs)
-        checksums.append(detail)
-    if not per_level:
-        raise RuntimeError(f"every sample failed the Newton solve; first: {failures[0]}")
-    errors2 = np.array(per_level)  # (samples, n_levels-1)
-    n_ok = errors2.shape[0]
-    means = errors2.mean(axis=0)
-    ses = (
-        errors2.std(axis=0, ddof=1) / np.sqrt(n_ok)
-        if n_ok > 1
-        else np.zeros(len(levels) - 1)
-    )
-
-    level_rows = [
-        LevelResult(
-            f"n={n},N={N}", _assembled(domain, n).mesh.h, T / N, M, float(mu), float(se)
-        )
+    per_level, checksums = _successes(map_samples(fn, M, workers), failures)
+    means, ses = _mean_se(np.array(per_level))  # per compared level
+    rows = [
+        LevelResult(f"n={n},N={N}", _assembled(domain, n).mesh.h, T / N, M, float(mu), float(se))
         for (n, N), mu, se in zip(levels[:-1], means, ses)
     ]
-    slope, r2 = fit_loglog([lr.h for lr in level_rows], means)
-    res = RateStudyResult("coupled", level_rows, slope, r2)
+    res = RateStudyResult.fit("coupled", rows)
 
-    decreasing = all(
-        means[i + 1] < means[i] * (1.0 + slack) for i in range(len(means) - 1)
-    )
+    decreasing = all(means[i + 1] < means[i] * 1.1 for i in range(len(means) - 1))
     separated = (means[0] - means[-1]) > 2.0 * (ses[0] + ses[-1])
     checks = [
         Check(
@@ -712,7 +638,7 @@ def strong_convergence_study(
         "strong",
         [res],
         checks,
-        extra={"checksums": checksums, "observed_slope": slope, "failures": failures},
+        extra={"checksums": checksums, "observed_slope": res.slope, "failures": failures},
     )
 
 
@@ -742,7 +668,7 @@ def _moment_sample(params, m):
 
 
 def moment_bound_study(
-    domain: DomainSpec | None = None,
+    domain: DomainSpec = DomainSpec.interval(1.0),
     ladder: tuple = ((32, 64), (64, 128), (128, 256)),
     T: float = 0.1,
     M: int = 64,
@@ -750,7 +676,7 @@ def moment_bound_study(
     r: float = 2.0,
     J: int = 32,
     seed: int = 42,
-    pot: Potential | None = None,
+    pot: Potential = double_well(),
     x0_coeffs: tuple = (0.0, 0.1, 0.05),
     workers: int = 1,
 ) -> StudyReport:
@@ -762,11 +688,6 @@ def moment_bound_study(
     statement is that the estimates do not blow up under refinement
     (max/min ratio <= 3 for the p=1 energy statistics).
     """
-    if domain is None:
-        domain = DomainSpec.interval(1.0)
-    if pot is None:
-        pot = double_well()
-
     stats = {"sup_J": [], "sum_Y": [], "sup_minus1": [], "sup_l2": [], "mass": []}
     second = {"sup_J": [], "sum_Y": [], "sup_minus1": [], "sup_l2": []}
     rows = []
@@ -775,37 +696,19 @@ def moment_bound_study(
     for (n, N) in ladder:
         params = (domain, n, N, T, noise, pot.F_coeffs, tuple(x0_coeffs))
         fn = functools.partial(_moment_sample, params)
-        results = map_samples(fn, M, workers)
-        failures += [msg for v, msg in results if v is None]
-        vals = np.array([v for v, _ in results if v is not None])  # (ok, 5)
-        if not len(vals):
-            raise RuntimeError(
-                f"every sample failed the Newton solve at n={n}, N={N}; first: {failures[-1]}"
-            )
+        vals, _ = _successes(map_samples(fn, M, workers), failures, f" at n={n}, N={N}")
+        vals = np.array(vals)  # (ok, 5)
         for i, key in enumerate(("sup_J", "sum_Y", "sup_minus1", "sup_l2")):
             stats[key].append(float(vals[:, i].mean()))
             second[key].append(float((vals[:, i] ** 2).mean()))
         stats["mass"].append(float(vals[:, 4].max()))
-        se = vals[:, 0].std(ddof=1) / np.sqrt(len(vals)) if len(vals) > 1 else 0.0
-        rows.append(
-            LevelResult(
-                f"n={n},N={N}",
-                _assembled(domain, n).mesh.h,
-                T / N,
-                M,
-                float(vals[:, 0].mean()),
-                float(se),
-            )
-        )
+        mean_J, se_J = _mean_se(vals[:, 0])
+        h = _assembled(domain, n).mesh.h
+        rows.append(LevelResult(f"n={n},N={N}", h, T / N, M, float(mean_J), float(se_J)))
 
     res = RateStudyResult("ladder", rows, float("nan"), float("nan"))
-
-    def ratio(xs):
-        xs = np.asarray(xs)
-        return float(xs.max() / xs.min()) if xs.min() > 0 else float("inf")
-
-    r_J = ratio(stats["sup_J"])
-    r_Y = ratio(stats["sum_Y"])
+    r_J = _spread(stats["sup_J"])
+    r_Y = _spread(stats["sum_Y"])
     mass_worst = max(stats["mass"])
     checks = [
         Check("E sup J ratio <= 3", r_J <= 3.0, f"ratio={r_J:.3f}"),
@@ -821,34 +724,32 @@ def moment_bound_study(
     )
 
 
+_HOLDER_GAMMAS = (0.25, 0.4, 0.45)  # Hölder exponents probed; the first is checked
+
+
 def holder_probe(
-    domain: DomainSpec | None = None,
+    domain: DomainSpec = DomainSpec.interval(1.0),
     n: int = 64,
     N_fine: int = 512,
     factors: tuple = (4, 2, 1),
     T: float = 0.1,
-    gammas: tuple = (0.25, 0.4, 0.45),
     sigma: float = 1.0,
     r: float = 2.0,
     J: int = 32,
     seed: int = 42,
-    pot: Potential | None = None,
+    pot: Potential = double_well(),
     x0_coeffs: tuple = (0.0, 0.1, 0.05),
-    sample_index: int = 0,
 ) -> StudyReport:
     """Empirical Hölder quotients of one path under time-step refinement.
 
-    max_{i, s dyadic} ||X(t_{i+s}) - X(t_i)|| / (s k)^gamma for each gamma;
-    the three step sizes share one Brownian path.  Pathwise Hölder-1/2^-
-    regularity predicts the gamma = 0.25 quotient stays stable (ratio <= 3)
-    as k is refined, while gamma near 1/2 may grow slowly.
+    max_{i, s dyadic} ||X(t_{i+s}) - X(t_i)|| / (s k)^gamma for each gamma
+    in ``_HOLDER_GAMMAS``; the step sizes share the Brownian path of sample
+    0.  Pathwise Hölder-1/2^- regularity predicts the gamma = 0.25 quotient
+    stays stable (ratio <= 3) as k is refined, while gamma near 1/2 may grow
+    slowly.
     """
-    if domain is None:
-        domain = DomainSpec.interval(1.0)
-    if pot is None:
-        pot = double_well()
     noise = NoiseSpec(r=r, sigma=sigma, J=J, seed=seed)
-    inc = sample_increments(noise, T, N_fine, factors=factors, sample_index=sample_index)
+    inc = sample_increments(noise, T, N_fine, factors=factors)
     level = _level_context(domain, n, noise, pot.F_coeffs, tuple(x0_coeffs))
     ops = level.ops
 
@@ -860,7 +761,7 @@ def holder_probe(
         states, _ = _run_level(level, inc, fac)
         X = np.stack([s.X.values for s in states])  # (N+1, dofs)
         quots = {}
-        for g in gammas:
+        for g in _HOLDER_GAMMAS:
             best = 0.0
             s = 1
             while s <= N // 2:
@@ -870,13 +771,10 @@ def holder_probe(
                 s *= 2
             quots[g] = best
         table[fac] = quots
-        rows.append(
-            LevelResult(f"N={N}", ops.mesh.h, k, 1, quots[gammas[0]], 0.0)
-        )
+        rows.append(LevelResult(f"N={N}", ops.mesh.h, k, 1, quots[_HOLDER_GAMMAS[0]], 0.0))
 
     res = RateStudyResult("holder", rows, float("nan"), float("nan"))
-    q25 = [table[f][gammas[0]] for f in factors]
-    ratio = max(q25) / min(q25) if min(q25) > 0 else float("inf")
+    ratio = _spread([table[f][_HOLDER_GAMMAS[0]] for f in factors])
     checks = [
         Check(
             "gamma=0.25 quotient ratio <= 3 under k-refinement",
@@ -893,7 +791,7 @@ def holder_probe(
 
 
 def single_run(
-    domain: DomainSpec | None = None,
+    domain: DomainSpec = DomainSpec.interval(1.0),
     n: int = 64,
     N: int = 100,
     T: float = 0.1,
@@ -901,20 +799,15 @@ def single_run(
     r: float = 2.0,
     J: int = 32,
     seed: int = 42,
-    pot: Potential | None = None,
+    pot: Potential = double_well(),
     x0_coeffs: tuple = (0.0, 0.1, 0.05),
-    sample_index: int = 0,
 ) -> tuple[StudyReport, list[tuple]]:
-    """One trajectory with per-step diagnostics (the CLI ``run`` command)."""
-    if domain is None:
-        domain = DomainSpec.interval(1.0)
-    if pot is None:
-        pot = double_well()
+    """One trajectory on the path of sample 0, with per-step diagnostics (``chc run``)."""
     noise = NoiseSpec(r=r, sigma=sigma, J=J, seed=seed)
     level = _level_context(domain, n, noise, pot.F_coeffs, tuple(x0_coeffs))
     ops, pot, X0 = level.ops, level.pot, level.X0
     k = T / N
-    inc = sample_increments(noise, T, N, sample_index=sample_index)
+    inc = sample_increments(noise, T, N)
     _, diags = _run_level(level, inc, store="none")
     mass0 = ops.mean(X0.values)
     rows = [

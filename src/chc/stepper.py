@@ -36,6 +36,8 @@ __all__ = [
     "energy_residual",
 ]
 
+QUAD_NPTS = 3  # Gauss points per cell: exact for the degree-4 integrands of a quartic F
+
 
 @dataclass(frozen=True)
 class StepperConfig:
@@ -43,7 +45,6 @@ class StepperConfig:
     newton_rtol: float = 1e-10
     newton_atol: float = 1e-12
     max_newton_iters: int = 50
-    quad_npts: int = 3  # Gauss points per cell, degree >= 4 exact
 
     def __post_init__(self):
         if self.k <= 0:
@@ -82,22 +83,22 @@ def _nonlinear_load(ops: OperatorSet, pot: Potential, vals: np.ndarray, quad):
     return np.bincount(ops.mesh.cells.ravel(), contrib.ravel(), minlength=ops.n_dofs)
 
 
-def functional_F(X: FemFunction, pot: Potential, ops: OperatorSet, npts: int = 3) -> float:
+def functional_F(X: FemFunction, pot: Potential, ops: OperatorSet) -> float:
     """int F(X) dx, exact for the degree-4 composite of a P1 function."""
-    pts, wts, shapes = ops.quadrature(npts)
+    pts, wts, shapes = ops.quadrature(QUAD_NPTS)
     vals = X.values[ops.mesh.cells] @ shapes.T
     return float(np.sum(wts * pot.F(vals)))
 
 
-def lyapunov_J(X: FemFunction, ops: OperatorSet, pot: Potential, npts: int = 3) -> float:
+def lyapunov_J(X: FemFunction, ops: OperatorSet, pot: Potential) -> float:
     """J(X) = 0.5 |X|_1^2 + int F(X) dx."""
-    return 0.5 * float(X.values @ (ops.K @ X.values)) + functional_F(X, pot, ops, npts)
+    return 0.5 * float(X.values @ (ops.K @ X.values)) + functional_F(X, pot, ops)
 
 
-def dissipativity_check(pot: Potential, fields: list, ops: OperatorSet, npts: int = 3) -> float:
+def dissipativity_check(pot: Potential, fields: list, ops: OperatorSet) -> float:
     """min over the sample fields of <f(v), v> + C_0; nonnegative by design."""
     C0 = pot.dissipativity_floor(ops.domain_measure)
-    pts, wts, shapes = ops.quadrature(npts)
+    pts, wts, shapes = ops.quadrature(QUAD_NPTS)
     worst = np.inf
     for v in fields:
         vals = v.values[ops.mesh.cells] @ shapes.T
@@ -106,9 +107,9 @@ def dissipativity_check(pot: Potential, fields: list, ops: OperatorSet, npts: in
     return worst
 
 
-def chemical_potential(X: FemFunction, ops: OperatorSet, pot: Potential, npts: int = 3) -> FemFunction:
+def chemical_potential(X: FemFunction, ops: OperatorSet, pot: Potential) -> FemFunction:
     """Y with M Y = K X + b(X); the discrete chemical potential."""
-    quad = ops.quadrature(npts)
+    quad = ops.quadrature(QUAD_NPTS)
     rhs = ops.K @ X.values + _nonlinear_load(ops, pot, X.at_quadrature(quad), quad)
     return FemFunction(ops.mesh, ops.solve_M(rhs))
 
@@ -127,7 +128,7 @@ def backward_euler_step(
     """
     n = ops.n_dofs
     system = ops.newton_system(cfg.k)
-    quad = ops.quadrature(cfg.quad_npts)
+    quad = ops.quadrature(QUAD_NPTS)
     _, wts, shapes = quad
     cells = ops.mesh.cells
 
@@ -165,7 +166,7 @@ def backward_euler_step(
         newton_iters=iters,
         residual=history[-1],
         mass=ops.mean(x),
-        J=lyapunov_J(X_new, ops, pot, cfg.quad_npts),
+        J=lyapunov_J(X_new, ops, pot),
         Y_h1=float(np.sqrt(max(0.0, y @ (ops.K @ y)))),
     )
     return State(X_new, Y_new, prev.step + 1, prev.t + cfg.k), diag
@@ -178,7 +179,6 @@ def energy_residual(
     k: float,
     ops: OperatorSet,
     pot: Potential,
-    npts: int = 3,
 ) -> float:
     """Pathwise dissipation residual of one accepted step; <= 0 up to solver error.
 
@@ -191,8 +191,8 @@ def energy_residual(
     y = nxt.Y.values
     y_h1_sq = float(y @ (ops.K @ y))
     noise_work = float(y @ (ops.M @ dW_h.values))
-    J_prev = lyapunov_J(prev.X, ops, pot, npts)
-    J_next = lyapunov_J(nxt.X, ops, pot, npts)
+    J_prev = lyapunov_J(prev.X, ops, pot)
+    J_next = lyapunov_J(nxt.X, ops, pot)
     return (
         J_next - J_prev + 0.5 * dx_h1_sq + k * y_h1_sq - noise_work
         - 0.5 * pot.c1_sq * dx_l2_sq
@@ -207,23 +207,22 @@ def run_trajectory(
     pot: Potential,
     n_steps: int | None = None,
     store: str = "none",
-    stride: int | None = None,
 ) -> tuple[list[State], list[StepDiagnostics]]:
     """March N backward Euler steps from X0.
 
     dW_fields holds one projected increment per step (None means a
-    deterministic run).  ``store`` is "all", "strided", or "none"; the
-    initial and final states are always kept.
+    deterministic run).  ``store`` is "all" or "none"; the initial and final
+    states are always kept.
     """
     if n_steps is None:
         n_steps = len(dW_fields) if dW_fields is not None else 0
     if dW_fields is not None and len(dW_fields) != n_steps:
         raise ValueError("need one increment per step")
+    if store not in ("all", "none"):
+        raise ValueError(f"store must be 'all' or 'none', not {store!r}")
     zero = FemFunction(ops.mesh, np.zeros(ops.n_dofs))
-    if stride is None:
-        stride = max(1, int(np.ceil(n_steps / 100)))
 
-    state = State(X0, chemical_potential(X0, ops, pot, cfg.quad_npts), 0, 0.0)
+    state = State(X0, chemical_potential(X0, ops, pot), 0, 0.0)
     states = [state]
     diags = []
     for j in range(n_steps):
@@ -233,11 +232,6 @@ def run_trajectory(
         except NewtonError as err:
             raise NewtonError(f"step {j + 1}: {err}", err.history) from err
         diags.append(diag)
-        keep = (
-            store == "all"
-            or (store == "strided" and (state.step % stride == 0))
-            or state.step == n_steps
-        )
-        if keep:
+        if store == "all" or state.step == n_steps:
             states.append(state)
     return states, diags

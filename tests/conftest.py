@@ -1,9 +1,16 @@
 """Fixtures shared by the test modules."""
 
+import os
+
 import pytest
 
 from chc import experiments
 from chc.stepper import StepperConfig
+
+# Child processes that run ``python -m chc.cli`` import chc from this checkout's
+# src/, which pytest's own ``pythonpath`` setting does not reach.
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture

@@ -118,7 +118,8 @@ class TestDispatch:
 def test_table_keys_are_the_keys_read(study):
     # the manifest records an entry's keys, so each must be read and no other
     entry = STUDIES[study]
-    full = parse_config(None, {"study": study}).values
+    # N = 64 nests in the study-strong ladder; the schema default N = 100 does not
+    full = parse_config(None, {"study": study, "N": "64"}).values
     view = {k: full[k] for k in ("study", "domain", "L", *entry.keys)}
     kwargs = entry.kwargs(Bundle(view))
     params = inspect.signature(getattr(experiments, entry.function)).parameters
@@ -178,6 +179,40 @@ class TestRefusedAtParseTime:
         err = capsys.readouterr().err
         assert f"study '{study}' does not run on domain 'rectangle'" in err
         assert not (out / "manifest.txt").exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "study = study-strong\n",  # the defaults: 8 does not divide N = 100
+            "study = study-strong\nn = 100\nN = 256\n",  # 8 does not divide n
+            "study = study-strong\nn = 8\nN = 64\n",  # one cell on the coarsest level
+            "study = study-strong\nfactor = 1\n",
+            "study = probe-holder\nN = 50\n",  # 4 does not divide N
+        ],
+    )
+    def test_ladder_that_does_not_nest_exits_2(self, text, tmp_path, capsys):
+        out = tmp_path / "ladder"
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", write_config(tmp_path, text), "--out", str(out)])
+        assert exc.value.code == 2
+        study = text.split("\n")[0].split(" = ")[1]
+        assert f"study {study!r}" in capsys.readouterr().err
+        assert not (out / "manifest.txt").exists()
+
+    def test_key_the_study_does_not_read_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "unread"
+        cfg = write_config(tmp_path, "study = study-det\nM = 8\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", cfg, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "study 'study-det' does not read config keys M" in capsys.readouterr().err
+        assert not (out / "manifest.txt").exists()
+
+    def test_global_flags_are_not_refused(self, tmp_path):
+        # study-det reads neither seed nor workers; the flags stay unused
+        out = tmp_path / "flags"
+        assert main(["--seed", "3", "--workers", "2", "--out", str(out), "study-det"]) == 0
+        assert "seed" not in (out / "manifest.txt").read_text()
 
     def test_run_on_rectangle_exits_0(self, tmp_path):
         cfg = write_config(

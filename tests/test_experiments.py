@@ -94,16 +94,21 @@ class TestStochConvLevels:
         assert stoch_conv_level_error_temporal(domain, noise, 16, 4, 0.1, 3) == (0.0, 0.0)
         assert stoch_conv_level_error_spatial(domain, noise, 8, 4, 0.1, 3) == (0.0, 0.0)
 
-    def test_error_positive_and_reproducible(self):
+    @pytest.mark.parametrize(
+        "level_error",
+        [stoch_conv_level_error_temporal, stoch_conv_level_error_spatial],
+        ids=["temporal", "spatial"],
+    )
+    def test_error_positive_and_reproducible(self, level_error):
         domain = DomainSpec.interval(1.0)
         noise = NoiseSpec(r=2.0, sigma=1.0, J=16, seed=7)
-        a = stoch_conv_level_error_temporal(domain, noise, 32, 8, 0.1, 10)
-        b = stoch_conv_level_error_temporal(domain, noise, 32, 8, 0.1, 10)
+        a = level_error(domain, noise, 32, 8, 0.1, 10)
+        b = level_error(domain, noise, 32, 8, 0.1, 10)
         assert a == b
         assert a[0] > 0
         # chunking must not change which sample gets which draws; only the
         # BLAS reduction order differs, so agreement is to rounding error
-        c = stoch_conv_level_error_temporal(domain, noise, 32, 8, 0.1, 10, chunk=3)
+        c = level_error(domain, noise, 32, 8, 0.1, 10, chunk=3)
         assert np.allclose(c, a, rtol=1e-10)
 
 

@@ -146,8 +146,8 @@ class TestTrajectory:
         none_states, _ = run_trajectory(X0, dWs, cfg, ops, dw, store="none")
         assert len(none_states) == 2  # initial and final always kept
         assert np.array_equal(none_states[-1].X.values, all_states[-1].X.values)
-        strided, _ = run_trajectory(X0, dWs, cfg, ops, dw, store="strided", stride=3)
-        assert [s.step for s in strided] == [0, 3, 6]
+        with pytest.raises(ValueError, match="store must be"):
+            run_trajectory(X0, dWs, cfg, ops, dw, store="strided")
 
     def test_length_mismatch(self, ops, dw):
         X0 = constant_field(ops, 0.5)
