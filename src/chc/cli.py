@@ -274,15 +274,13 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, help="override the base seed")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--workers", type=int, help="Monte-Carlo worker count")
-    parser.add_argument("--study", help="study name (alternative to the subcommand)")
     sub = parser.add_subparsers(dest="command")
     for name in STUDIES:
         sub.add_parser(name)
 
     args = parser.parse_args(argv)
-    study = args.command or args.study
     overrides = {
-        "study": study,
+        "study": args.command,
         "seed": args.seed if args.seed is not None else os.environ.get("CHC_SEED"),
         "workers": args.workers,
     }

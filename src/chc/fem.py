@@ -239,6 +239,10 @@ class NewtonSystem:
         data = A.data + np.bincount(self.slots, local.ravel(), minlength=A.nnz)
         return sp.csc_matrix((data, A.indices, A.indptr), shape=A.shape)
 
+    def factorize(self, local: np.ndarray) -> spla.SuperLU:
+        """Sparse LU of ``jacobian(local)`` in the fill-reducing MMD(A^T + A) order."""
+        return spla.splu(self.jacobian(local), permc_spec="MMD_AT_PLUS_A")
+
 
 class OperatorSet:
     """Assembled mass and stiffness matrices with the per-mesh caches.

@@ -63,14 +63,7 @@ class WienerIncrements:
     """Per-mode Brownian increments at a fine step, summable to coarse levels."""
 
     k_fine: float
-    factors: tuple[int, ...]
     dbeta_fine: np.ndarray  # (J, N_fine); row 0 (constant mode) is zero
-
-    def __post_init__(self):
-        n = self.dbeta_fine.shape[1]
-        for f in self.factors:
-            if n % f != 0:
-                raise ValueError(f"factor {f} does not divide {n} fine steps")
 
     @property
     def n_fine(self) -> int:
@@ -111,7 +104,7 @@ def sample_increments(
     rng = _rng_for_sample(spec.seed, sample_index)
     dbeta = np.zeros((spec.J, N_fine))
     dbeta[1:] = np.sqrt(k_fine) * rng.standard_normal((spec.J - 1, N_fine))
-    return WienerIncrements(k_fine, tuple(factors), dbeta)
+    return WienerIncrements(k_fine, dbeta)
 
 
 def field_coefficients(

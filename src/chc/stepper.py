@@ -5,7 +5,10 @@ One step solves
     M X + k K Y = M X_prev + M dW_h
     K X + b(X) - M Y = 0,        b_i(X) = int f(X) phi_i dx,
 
-by Newton's method on the stacked residual.  The mixed form avoids ever
+by chord Newton on the stacked residual: the Newton matrix is factorized
+at one iterate and that LU is reused until the residual stops contracting
+(C. T. Kelley, Solving Nonlinear Equations with Newton's Method, SIAM 2003).
+One LU is kept for the life of one trajectory.  The mixed form avoids ever
 assembling M^{-1} inside an operator: the fourth-order term k A_h^2 X would
 otherwise be dense.  The chemical potential Y doubles as the dissipation
 diagnostic: the discrete energy J(X) = 0.5 |X|_1^2 + int F(X) decreases up
@@ -26,6 +29,7 @@ __all__ = [
     "StepperConfig",
     "State",
     "StepDiagnostics",
+    "ChordLU",
     "NewtonError",
     "chemical_potential",
     "backward_euler_step",
@@ -37,6 +41,9 @@ __all__ = [
 ]
 
 QUAD_NPTS = 3  # Gauss points per cell: exact for the degree-4 integrands of a quartic F
+# A chord iteration that shrinks the residual by less than this factor
+# refactorizes at the current iterate.
+CHORD_RATIO = 0.1
 
 
 @dataclass(frozen=True)
@@ -64,6 +71,7 @@ class State:
 @dataclass
 class StepDiagnostics:
     newton_iters: int
+    factorizations: int
     residual: float
     mass: float
     J: float
@@ -71,9 +79,15 @@ class StepDiagnostics:
 
 
 class NewtonError(RuntimeError):
-    def __init__(self, message: str, history: list):
-        super().__init__(message)
-        self.history = history
+    """A step whose Newton residual did not reach its tolerance."""
+
+
+@dataclass
+class ChordLU:
+    """The factorization one trajectory keeps, and how many it has built."""
+
+    lu: spla.SuperLU | None = None
+    count: int = 0
 
 
 def _nonlinear_load(ops: OperatorSet, pot: Potential, vals: np.ndarray, quad):
@@ -120,12 +134,18 @@ def backward_euler_step(
     cfg: StepperConfig,
     ops: OperatorSet,
     pot: Potential,
+    chord: ChordLU | None = None,
 ) -> tuple[State, StepDiagnostics]:
     """One fully implicit step driven by the projected noise increment.
 
-    The Newton matrix of (ops, k) is cached on ``ops``; each iteration
-    refills its B'(X) slots and factorizes it afresh.
+    The Newton matrix of (ops, k) is cached on ``ops``.  ``chord`` holds the
+    LU kept from earlier steps of the same trajectory (same ops and k); it
+    is refactorized at the current iterate when there is none yet or when
+    an iteration leaves the residual above CHORD_RATIO times the previous
+    one.  Without ``chord`` the step starts with no LU.
     """
+    if chord is None:
+        chord = ChordLU()
     n = ops.n_dofs
     system = ops.newton_system(cfg.k)
     quad = ops.quadrature(QUAD_NPTS)
@@ -137,7 +157,8 @@ def backward_euler_step(
     tol = cfg.newton_atol + cfg.newton_rtol * rhs_norm
 
     z = np.concatenate([prev.X.values, prev.Y.values])  # (X, Y) stacked
-    history = []
+    count0 = chord.count
+    last = np.inf  # residual before the latest iteration
     iters = 0
     while True:
         vals = z[:n][cells] @ shapes.T  # X at the quadrature points
@@ -145,18 +166,22 @@ def backward_euler_step(
         res_vec[:n] -= rhs1
         res_vec[n:] += _nonlinear_load(ops, pot, vals, quad)
         res = np.linalg.norm(res_vec)
-        history.append(res)
         if res <= tol:
             break
         if iters >= cfg.max_newton_iters:
+            ratio = f"{res / last:.3g}" if iters else "none"
             raise NewtonError(
-                f"Newton stalled at residual {res:.3e} after {iters} iterations "
-                f"(tol {tol:.3e})",
-                history,
+                f"Newton stalled at residual {res:.3e} after {iters} iterations and "
+                f"{chord.count - count0} factorizations (tol {tol:.3e}, last "
+                f"contraction ratio {ratio})"
             )
-        local = np.einsum("cq,qi,ql->cil", wts * pot.f_prime(vals), shapes, shapes)
-        jac = system.jacobian(local)
-        z = z - spla.splu(jac, permc_spec="MMD_AT_PLUS_A").solve(res_vec)
+        if chord.lu is None or res > CHORD_RATIO * last:
+            local = np.einsum("cq,qi,ql->cil", wts * pot.f_prime(vals), shapes, shapes)
+            chord.lu = None  # free the old LU before the new one is built
+            chord.lu = system.factorize(local)
+            chord.count += 1
+        z = z - chord.lu.solve(res_vec)
+        last = res
         iters += 1
 
     x, y = z[:n], z[n:]
@@ -164,7 +189,8 @@ def backward_euler_step(
     Y_new = FemFunction(ops.mesh, y)
     diag = StepDiagnostics(
         newton_iters=iters,
-        residual=history[-1],
+        factorizations=chord.count - count0,
+        residual=res,
         mass=ops.mean(x),
         J=lyapunov_J(X_new, ops, pot),
         Y_h1=float(np.sqrt(max(0.0, y @ (ops.K @ y)))),
@@ -221,6 +247,7 @@ def run_trajectory(
     if store not in ("all", "none"):
         raise ValueError(f"store must be 'all' or 'none', not {store!r}")
     zero = FemFunction(ops.mesh, np.zeros(ops.n_dofs))
+    chord = ChordLU()  # never shared across trajectories: samples stay independent
 
     state = State(X0, chemical_potential(X0, ops, pot), 0, 0.0)
     states = [state]
@@ -228,9 +255,9 @@ def run_trajectory(
     for j in range(n_steps):
         dW = dW_fields[j] if dW_fields is not None else zero
         try:
-            state, diag = backward_euler_step(state, dW, cfg, ops, pot)
+            state, diag = backward_euler_step(state, dW, cfg, ops, pot, chord)
         except NewtonError as err:
-            raise NewtonError(f"step {j + 1}: {err}", err.history) from err
+            raise NewtonError(f"step {j + 1}: {err}") from err
         diags.append(diag)
         if store == "all" or state.step == n_steps:
             states.append(state)

@@ -136,6 +136,11 @@ class TestMain:
             main(["--config", cfg, "--out", str(tmp_path / "o")])
         assert exc.value.code == 2
 
+    def test_study_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["--study", "run", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+
     def test_seed_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CHC_SEED", "123")
         cfg = write_config(tmp_path, "study = run\nn = 16\nN = 5\nT = 0.005\nJ = 8\n")

@@ -109,6 +109,8 @@ class TestIncrements:
         spec = NoiseSpec(r=2.0, sigma=1.0, J=4)
         with pytest.raises(ValueError):
             sample_increments(spec, 1.0, 10, factors=(3,))
+        with pytest.raises(ValueError):
+            sample_increments(spec, 1.0, 10).increments(3)
 
 
 class TestProjection:

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from chc import fem
+from chc.experiments import single_run
 from chc.fem import (
     FemFunction,
     assemble,
@@ -130,6 +131,17 @@ class TestSingleStep:
         with pytest.raises(NewtonError):
             backward_euler_step(prev, constant_field(ops, 1.0), cfg, ops, dw)
 
+    def test_newton_error_names_its_context(self, ops, dw):
+        cfg = StepperConfig(k=1e-3, max_newton_iters=1)
+        X0 = constant_field(ops, 0.5)
+        prev = State(X0, chemical_potential(X0, ops, dw), 0, 0.0)
+        pattern = (
+            r"^Newton stalled at residual \S+ after 1 iterations and 1 factorizations "
+            r"\(tol \S+, last contraction ratio [0-9.e+-]+\)$"
+        )
+        with pytest.raises(NewtonError, match=pattern):
+            backward_euler_step(prev, constant_field(ops, 1.0), cfg, ops, dw)
+
 
 class TestTrajectory:
     def test_zero_steps(self, ops, dw):
@@ -193,24 +205,32 @@ def coo_nonlinear_jacobian(ops, pot, x, quad):
     return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr(), local
 
 
-def reference_step(x, y, dW, k, ops, pot, quad):
-    """One backward Euler step with the block Jacobian rebuilt by bmat every iteration."""
+def step_residual(x, y, x_prev, dW, k, ops, pot, quad):
+    """The backward Euler residual at (x, y): its norm, the step's Newton tolerance, the vector."""
     _, wts, shapes = quad
     M, K, cells = ops.M, ops.K, ops.mesh.cells
     cfg = StepperConfig(k=k)
-    rhs1 = M @ (x + dW)
+    rhs1 = M @ (x_prev + dW)
     tol = cfg.newton_atol + cfg.newton_rtol * np.linalg.norm(rhs1)
+    b = np.zeros(ops.n_dofs)
+    np.add.at(b, cells, (wts * pot.f(x[cells] @ shapes.T)) @ shapes)
+    r1 = M @ x + k * (K @ y) - rhs1
+    r2 = K @ x + b - M @ y
+    return np.hypot(np.linalg.norm(r1), np.linalg.norm(r2)), tol, np.concatenate([r1, r2])
+
+
+def reference_step(x, y, dW, k, ops, pot, quad):
+    """One backward Euler step with the block Jacobian rebuilt by bmat every iteration."""
+    M, K = ops.M, ops.K
+    x_prev = x
     iters = 0
     while True:
-        b = np.zeros(ops.n_dofs)
-        np.add.at(b, cells, (wts * pot.f(x[cells] @ shapes.T)) @ shapes)
-        r1 = M @ x + k * (K @ y) - rhs1
-        r2 = K @ x + b - M @ y
-        if np.hypot(np.linalg.norm(r1), np.linalg.norm(r2)) <= tol:
+        res, tol, r = step_residual(x, y, x_prev, dW, k, ops, pot, quad)
+        if res <= tol:
             return x, y, iters
         Bp, _ = coo_nonlinear_jacobian(ops, pot, x, quad)
         jac = sp.bmat([[M, k * K], [K + Bp, -M]], format="csc")
-        delta = spla.splu(jac).solve(np.concatenate([r1, r2]))
+        delta = spla.splu(jac).solve(r)
         x, y = x - delta[: ops.n_dofs], y - delta[ops.n_dofs :]
         iters += 1
 
@@ -259,7 +279,7 @@ class TestNewtonSystem:
         )
         assert len(states) == 21 and calls == []
 
-    def test_rectangle_iterations_match_bmat_newton(self, dw):
+    def test_rectangle_matches_bmat_newton(self, dw):
         ops = assemble(build_rectangle_mesh(1.0, 1.0, 16, 16))
         domain = DomainSpec.rectangle(1.0, 1.0)
         basis = build_basis(domain, 16)
@@ -274,13 +294,53 @@ class TestNewtonSystem:
         k = T / n_steps
         states, diags = run_trajectory(X0, dWs, StepperConfig(k=k), ops, dw, store="all")
 
+        quad = ops.quadrature(3)
+        for prev, nxt, dW in zip(states, states[1:], dWs):
+            res, tol, _ = step_residual(
+                nxt.X.values, nxt.Y.values, prev.X.values, dW.values, k, ops, dw, quad
+            )
+            assert res <= tol
+        assert sum(d.factorizations for d in diags) < sum(d.newton_iters for d in diags)
+
         x, y = X0.values, states[0].Y.values
-        expect = []
         for dW in dWs:
-            x, y, iters = reference_step(x, y, dW.values, k, ops, dw, ops.quadrature(3))
-            expect.append(iters)
-        assert [d.newton_iters for d in diags] == expect
+            x, y, _ = reference_step(x, y, dW.values, k, ops, dw, quad)
         assert np.abs(states[-1].X.values - x).max() < 1e-12
+
+
+class TestChordNewton:
+    def test_factorization_does_not_outlive_its_trajectory(self, dw):
+        fresh = assemble(build_interval_mesh(1.0, 32))
+        cfg = StepperConfig(k=0.001)
+        X0 = constant_field(fresh, 0.1)
+        dWs = noisy_increments(fresh, 20, 0.02, seed=3)
+        first, _ = run_trajectory(X0, dWs, cfg, fresh, dw, store="all")
+        other = noisy_increments(fresh, 20, 0.02, seed=8, sigma=4.0)
+        run_trajectory(constant_field(fresh, -0.4), other, cfg, fresh, dw)
+        again, _ = run_trajectory(X0, dWs, cfg, fresh, dw, store="all")
+        for a, b in zip(first, again):
+            assert np.array_equal(a.X.values, b.X.values)
+            assert np.array_equal(a.Y.values, b.Y.values)
+
+    def test_linear_run_factorizes_once(self, ops):
+        dWs = noisy_increments(ops, 20, 0.02, seed=6)
+        _, diags = run_trajectory(
+            constant_field(ops, 0.2), dWs, StepperConfig(k=0.001), ops, zero_potential()
+        )
+        assert sum(d.factorizations for d in diags) == 1
+
+    def test_noisy_run_reuses_factorizations(self, ops, dw):
+        dWs = noisy_increments(ops, 20, 0.02, seed=11)
+        _, diags = run_trajectory(constant_field(ops, 0.1), dWs, StepperConfig(k=0.001), ops, dw)
+        lus = sum(d.factorizations for d in diags)
+        assert 1 <= lus <= 20 and lus < sum(d.newton_iters for d in diags)
+
+    @pytest.mark.parametrize("n", [64, 128])
+    @pytest.mark.parametrize("T, N, sigma", [(50.0, 1, 1.0), (0.1, 2, 200.0)], ids=["T50", "sigma200"])
+    def test_large_steps_converge(self, n, T, N, sigma):
+        report, rows = single_run(n=n, N=N, T=T, sigma=sigma)
+        assert len(rows) == N and all(c.ok for c in report.checks)
+        assert max(abs(row[2]) for row in rows) <= 1e-10
 
 
 class TestLyapunov:
