@@ -270,26 +270,27 @@ def main(argv=None) -> int:
         prog="chc",
         description="Fully discrete Cahn-Hilliard-Cook scheme: runs and rate studies",
     )
-    parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--seed", type=int, help="override the base seed")
-    parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--workers", type=int, help="Monte-Carlo worker count")
     sub = parser.add_subparsers(dest="command")
-    for name in STUDIES:
-        sub.add_parser(name)
+    # The options go before or after the study name.  One that is not given
+    # sets nothing, so a value given before the name is not overwritten.
+    for p in (parser, *(sub.add_parser(name) for name in STUDIES)):
+        p.add_argument("--config", default=argparse.SUPPRESS, help="flat key=value config file")
+        p.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="override the base seed")
+        p.add_argument("--out", default=argparse.SUPPRESS, help="output directory (default: out)")
+        p.add_argument("--workers", type=int, default=argparse.SUPPRESS, help="Monte-Carlo worker count")
 
-    args = parser.parse_args(argv)
+    args = vars(parser.parse_args(argv))
     overrides = {
-        "study": args.command,
-        "seed": args.seed if args.seed is not None else os.environ.get("CHC_SEED"),
-        "workers": args.workers,
+        "study": args["command"],
+        "seed": args.get("seed", os.environ.get("CHC_SEED")),
+        "workers": args.get("workers"),
     }
     try:
-        bundle = parse_config(args.config, overrides)
+        bundle = parse_config(args.get("config"), overrides)
     except (ValueError, OSError) as err:
         parser.exit(2, f"error: {err}\n")
     try:
-        return dispatch(bundle, args.out)
+        return dispatch(bundle, args.get("out", "out"))
     except Exception as err:  # surfaced with context, nonzero exit
         print(f"error: {bundle.study}: {err}", file=sys.stderr)
         return 1

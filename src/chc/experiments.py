@@ -359,29 +359,33 @@ def _phi1(x):
 
 
 def _rms_sup_error(
-    noise: NoiseSpec, G: np.ndarray, N: int, M: int, chunk: int, width: int, step
+    noise: NoiseSpec, G: np.ndarray, N: int, M: int, chunk: int, width: int,
+    dec_a: np.ndarray, dec_w: np.ndarray, forcing,
 ) -> tuple[float, float]:
     """RMS over M samples of sup_n ||W(t_n) - W_h^n||, with its delta-method SE.
 
     The exact process is held by its J mode coefficients a, the scheme by
     its coefficients w in the discrete eigenbasis, and G = <psi_i, phi_j>
-    couples the two.  Sample m draws normals of shape (J, N, width) from its
-    own stream; ``step(a, w, z)`` advances one step of a chunk from that
-    step's normals z, shape (J, width, chunk), and returns the new (a, w).
+    couples the two.  Sample m draws normals z of shape (J, N, width) from
+    its own stream; ``forcing(z)`` turns them into that sample's forcing of
+    every step, fa of shape (N, J) and fw of shape (N, Nh).  The samples of
+    a chunk then run one linear recurrence, a <- dec_a a + fa[n] and
+    w <- dec_w w + fw[n].
     """
     sup2 = np.empty(M)
     for lo in range(0, M, chunk):
         hi = min(lo + chunk, M)
-        z = np.stack(
-            [_rng_for_sample(noise.seed, m).standard_normal((noise.J, N, width))
-             for m in range(lo, hi)],
-            axis=-1,
-        )  # (J, N, width, m)
+        fa = np.empty((N, noise.J, hi - lo))
+        fw = np.empty((N, G.shape[0], hi - lo))
+        for c, m in enumerate(range(lo, hi)):
+            z = _rng_for_sample(noise.seed, m).standard_normal((noise.J, N, width))
+            fa[:, :, c], fw[:, :, c] = forcing(z)
         a = np.zeros((noise.J, hi - lo))
         w = np.zeros((G.shape[0], hi - lo))
         s2 = np.zeros(hi - lo)
         for j in range(N):
-            a, w = step(a, w, z[:, j])
+            a = dec_a[:, None] * a + fa[j]
+            w = dec_w[:, None] * w + fw[j]
             err2 = (a * a).sum(0) - 2 * (a * (G.T @ w)).sum(0) + (w * w).sum(0)
             s2 = np.maximum(s2, err2)
         sup2[lo:hi] = s2
@@ -408,14 +412,13 @@ def stoch_conv_level_error_temporal(
     G = spec.vectors.T @ ops.mode_loads(basis)  # (Nh, J)
     k = T / N
     D = 1.0 / (1.0 + k * spec.eigenvalues**2)
-    dec = np.exp(-(lam**2) * k)
 
-    def step(a, w, z):
-        db, I = convolution_pair_from_normals(lam[:, None], k, z[:, 0, :], z[:, 1, :])
-        a = dec[:, None] * a + field_coefficients(noise, basis, I)
-        return a, D[:, None] * (w + G @ field_coefficients(noise, basis, db))
+    def forcing(z):
+        db, I = convolution_pair_from_normals(lam[:, None], k, z[:, :, 0], z[:, :, 1])
+        fw = D[:, None] * (G @ field_coefficients(noise, basis, db))
+        return field_coefficients(noise, basis, I).T, fw.T
 
-    return _rms_sup_error(noise, G, N, M, chunk, 2, step)
+    return _rms_sup_error(noise, G, N, M, chunk, 2, np.exp(-(lam**2) * k), D, forcing)
 
 
 def stoch_conv_level_error_spatial(
@@ -430,7 +433,8 @@ def stoch_conv_level_error_spatial(
     driving mode, the vector of convolution integrals against e^{-lam^2 s}
     and every e^{-lam_{h,i}^2 s} is one joint Gaussian, sampled through an
     eigenvalue square root of its covariance.  Reference and scheme share
-    the same Brownian path by construction.
+    the same Brownian path by construction.  One batched product applies
+    the roots to all N steps of a sample at once.
     """
     basis = build_basis(domain, noise.J)
     lam = basis.eigenvalues
@@ -439,8 +443,6 @@ def stoch_conv_level_error_spatial(
     G = spec.vectors.T @ ops.mode_loads(basis)
     Nh = len(spec.eigenvalues)
     k = T / N
-    dec_a = np.exp(-(lam**2) * k)
-    dec_w = np.exp(-(spec.eigenvalues**2) * k)
     Ls = spec.eigenvalues**2
     roots = np.empty((noise.J, Nh + 1, Nh + 1))
     for j in range(noise.J):
@@ -450,12 +452,14 @@ def stoch_conv_level_error_spatial(
         roots[j] = evecs * np.sqrt(np.clip(evals, 0.0, None))
     Gq = field_coefficients(noise, basis, G.T).T  # column j of G times sigma sqrt(q_j)
 
-    def step(a, w, z):
-        g = np.einsum("jpq,jqm->jpm", roots, z)
-        a = dec_a[:, None] * a + field_coefficients(noise, basis, g[:, 0, :])
-        return a, dec_w[:, None] * w + np.einsum("ij,jim->im", Gq, g[:, 1:, :])
+    def forcing(z):
+        g = np.matmul(z, roots.transpose(0, 2, 1))  # (J, N, Nh+1): every step's integrals
+        fa = field_coefficients(noise, basis, g[:, :, 0]).T
+        return fa, np.einsum("ij,jni->ni", Gq, g[:, :, 1:])
 
-    return _rms_sup_error(noise, G, N, M, chunk, Nh + 1, step)
+    return _rms_sup_error(
+        noise, G, N, M, chunk, Nh + 1, np.exp(-(lam**2) * k), np.exp(-Ls * k), forcing
+    )
 
 
 def stoch_conv_rate_study(

@@ -161,6 +161,25 @@ class TestMain:
         assert main(["--config", cfg, "--out", str(out), "run"]) == 0
         assert (out / "run.csv").exists()
 
+    def test_options_after_the_study_name(self, tmp_path):
+        cfg = write_config(tmp_path, "n = 16\nN = 5\nT = 0.005\nJ = 8\n")
+        before, after = tmp_path / "before", tmp_path / "after"
+        assert main(["--config", cfg, "--out", str(before), "run"]) == 0
+        assert main(["run", "--config", cfg, "--out", str(after)]) == 0
+        assert (before / "run.csv").read_bytes() == (after / "run.csv").read_bytes()
+
+    def test_option_before_the_name_is_kept(self, tmp_path):
+        cfg = write_config(tmp_path, "n = 16\nN = 5\nT = 0.005\nJ = 8\n")
+        out = tmp_path / "split"
+        assert main(["--seed", "9", "--config", cfg, "run", "--out", str(out)]) == 0
+        assert "seed = 9" in (out / "manifest.txt").read_text()
+
+    def test_default_out_dir(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, "n = 16\nN = 5\nT = 0.005\nJ = 8\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", cfg]) == 0
+        assert (tmp_path / "out" / "run.csv").exists()
+
 
 class TestRefusedAtParseTime:
     def test_unknown_domain_exits_2_without_manifest(self, tmp_path, capsys):

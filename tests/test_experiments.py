@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+from chc import experiments
 from chc.experiments import (
     CSV_HEADER,
     det_derivative_rate_study,
@@ -20,8 +21,9 @@ from chc.experiments import (
     write_csv,
     write_manifest,
 )
-from chc.noise import NoiseSpec
-from chc.spectral import DomainSpec
+from chc.fem import discrete_spectrum
+from chc.noise import NoiseSpec, _rng_for_sample, convolution_pair_from_normals, field_coefficients
+from chc.spectral import DomainSpec, build_basis
 
 
 class TestFitLoglog:
@@ -110,6 +112,101 @@ class TestStochConvLevels:
         # BLAS reduction order differs, so agreement is to rounding error
         c = level_error(domain, noise, 32, 8, 0.1, 10, chunk=3)
         assert np.allclose(c, a, rtol=1e-10)
+
+
+def _per_step_level_error(kind, domain, noise, n, N, T, M):
+    """The stochastic-convolution level error as computed one step at a time.
+
+    This is the former implementation, kept as a reference: the normals of
+    all M samples are stacked into one (J, N, width, M) array, and each step
+    applies the kernel to that step's normals with ``einsum``.
+    """
+    basis = build_basis(domain, noise.J)
+    lam = basis.eigenvalues
+    ops = experiments._assembled(domain, n)
+    spec = discrete_spectrum(ops)
+    G = spec.vectors.T @ ops.mode_loads(basis)
+    Nh = len(spec.eigenvalues)
+    k = T / N
+    if kind == "temporal":
+        width = 2
+        D = 1.0 / (1.0 + k * spec.eigenvalues**2)
+        dec = np.exp(-(lam**2) * k)
+
+        def step(a, w, z):
+            db, I = convolution_pair_from_normals(lam[:, None], k, z[:, 0, :], z[:, 1, :])
+            a = dec[:, None] * a + field_coefficients(noise, basis, I)
+            return a, D[:, None] * (w + G @ field_coefficients(noise, basis, db))
+
+    else:
+        width = Nh + 1
+        dec_a = np.exp(-(lam**2) * k)
+        dec_w = np.exp(-(spec.eigenvalues**2) * k)
+        roots = np.empty((noise.J, Nh + 1, Nh + 1))
+        for j in range(noise.J):
+            L = np.concatenate([[lam[j] ** 2], spec.eigenvalues**2])
+            C = k * experiments._phi1((L[:, None] + L[None, :]) * k)
+            evals, evecs = np.linalg.eigh(C)
+            roots[j] = evecs * np.sqrt(np.clip(evals, 0.0, None))
+        Gq = field_coefficients(noise, basis, G.T).T
+
+        def step(a, w, z):
+            g = np.einsum("jpq,jqm->jpm", roots, z)
+            a = dec_a[:, None] * a + field_coefficients(noise, basis, g[:, 0, :])
+            return a, dec_w[:, None] * w + np.einsum("ij,jim->im", Gq, g[:, 1:, :])
+
+    z = np.stack(
+        [_rng_for_sample(noise.seed, m).standard_normal((noise.J, N, width)) for m in range(M)],
+        axis=-1,
+    )
+    a, w, sup2 = np.zeros((noise.J, M)), np.zeros((Nh, M)), np.zeros(M)
+    for j in range(N):
+        a, w = step(a, w, z[:, j])
+        err2 = (a * a).sum(0) - 2 * (a * (G.T @ w)).sum(0) + (w * w).sum(0)
+        sup2 = np.maximum(sup2, err2)
+    mean = sup2.mean()
+    se = sup2.std(ddof=1) / np.sqrt(M)
+    return float(np.sqrt(mean)), float(se) / (2.0 * np.sqrt(mean))
+
+
+_LEVEL_ERRORS = {
+    "temporal": stoch_conv_level_error_temporal,
+    "spatial": stoch_conv_level_error_spatial,
+}
+_DOMAINS = {"interval": (DomainSpec.interval(1.0), 32), "rectangle": (DomainSpec.rectangle(1.0, 1.0), 4)}
+
+
+class TestStochConvAgainstPerStep:
+    @pytest.mark.parametrize("domain_name", sorted(_DOMAINS))
+    @pytest.mark.parametrize("kind", sorted(_LEVEL_ERRORS))
+    def test_matches_per_step_reference(self, kind, domain_name):
+        domain, n = _DOMAINS[domain_name]
+        noise = NoiseSpec(r=2.0, sigma=1.0, J=16, seed=7)
+        got = _LEVEL_ERRORS[kind](domain, noise, n, 8, 0.1, 10)
+        want = _per_step_level_error(kind, domain, noise, n, 8, 0.1, 10)
+        assert want[0] > 0
+        assert np.allclose(got, want, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("kind", sorted(_LEVEL_ERRORS))
+    def test_each_sample_drawn_once(self, kind, monkeypatch):
+        """Every sample's stream is opened once and draws (J, N, width) normals."""
+        domain, n = _DOMAINS["interval"]
+        noise = NoiseSpec(r=2.0, sigma=1.0, J=16, seed=7)
+        width = {"temporal": 2, "spatial": n + 2}[kind]  # n + 1 nodes, plus the exact mode
+        draws = []
+
+        class Recording:
+            def __init__(self, seed, m):
+                self.rng, self.key = _rng_for_sample(seed, m), (seed, m)
+
+            def standard_normal(self, shape):
+                draws.append((*self.key, shape))
+                return self.rng.standard_normal(shape)
+
+        unpatched = _LEVEL_ERRORS[kind](domain, noise, n, 8, 0.1, 10, chunk=3)
+        monkeypatch.setattr(experiments, "_rng_for_sample", Recording)
+        assert _LEVEL_ERRORS[kind](domain, noise, n, 8, 0.1, 10, chunk=3) == unpatched
+        assert draws == [(7, m, (16, 8, width)) for m in range(10)]
 
 
 class TestTinyStrong:
