@@ -83,17 +83,26 @@ class Study:
     ``kwargs`` maps a bundle that holds only the domain keys and ``keys`` to
     the function's keyword arguments; the domain is passed as ``domain``.
     The function is named, not held, so that it is looked up on the module
-    when the study runs.  ``interval_only`` is empty for a study that runs
-    on every domain, and otherwise says why it runs only on the interval.
+    when the study runs.
     """
 
     function: str
     keys: tuple = ()
     kwargs: Callable[[Bundle], dict] = lambda b: {}
-    interval_only: str = ""
 
 
-_DENSE_2D = "its 2-D sweep passes the dense eigensolve limit"
+# The rectangle sweeps of the studies that take the dense discrete spectrum:
+# every mesh keeps (n + 1)**2 nodes within fem.DENSE_EIG_LIMIT.  On the
+# interval these studies run the sweeps their functions default to.
+RECTANGLE_SWEEPS = {
+    "study-det": dict(ns_spatial=(8, 16, 32), n_temporal=32),
+    "study-det-deriv": dict(ns_spatial=(8, 16, 32), n_temporal=32),
+    "study-stoch-conv": dict(ns_spatial=(4, 8, 16), n_temporal=16),
+}
+
+
+def _sweep(study: str, b: Bundle) -> dict:
+    return RECTANGLE_SWEEPS[study] if b.domain == "rectangle" else {}
 
 
 # Keys of every study that marches the nonlinear scheme along a noise path.
@@ -113,13 +122,14 @@ STUDIES = {
         ("n", "N", *_PATH_KEYS),
         lambda b: dict(n=b.n, N=b.N, **_path_kwargs(b)),
     ),
-    "study-det": Study("det_linear_rate_study", interval_only=_DENSE_2D),
-    "study-det-deriv": Study("det_derivative_rate_study", interval_only=_DENSE_2D),
+    "study-det": Study("det_linear_rate_study", (), lambda b: _sweep("study-det", b)),
+    "study-det-deriv": Study(
+        "det_derivative_rate_study", (), lambda b: _sweep("study-det-deriv", b)
+    ),
     "study-stoch-conv": Study(
         "stoch_conv_rate_study",
         ("r", "sigma", "M", "seed"),
-        lambda b: dict(r=b.r, sigma=b.sigma, M=b.M, seed=b.seed),
-        interval_only=_DENSE_2D,
+        lambda b: dict(r=b.r, sigma=b.sigma, M=b.M, seed=b.seed, **_sweep("study-stoch-conv", b)),
     ),
     "study-strong": Study(
         "strong_convergence_study",
@@ -128,7 +138,6 @@ STUDIES = {
             finest=(b.n, b.N), n_levels=b.levels, factor=b.factor, M=b.M,
             workers=b.workers, **_path_kwargs(b),
         ),
-        interval_only="levels are compared by prolongation, which exists only in 1-D",
     ),
     "study-moments": Study(
         "moment_bound_study",
@@ -183,11 +192,6 @@ def parse_config(path: str | None, overrides: dict | None = None) -> Bundle:
     if values["domain"] not in _LENGTH_KEYS:
         raise ValueError(
             f"unknown domain {values['domain']!r}; expected one of {', '.join(_LENGTH_KEYS)}"
-        )
-    reason = STUDIES[study].interval_only
-    if reason and values["domain"] != "interval":
-        raise ValueError(
-            f"study {study!r} does not run on domain {values['domain']!r}: {reason}"
         )
     unread = sorted(file_keys - set(_read_keys(Bundle(values))))
     if unread:

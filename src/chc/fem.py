@@ -368,11 +368,6 @@ class FemFunction:
         nodal = self.values[self.mesh.cells]  # (nc, nloc)
         return nodal @ shapes.T  # (nc, nq)
 
-    def __call__(self, x) -> np.ndarray:
-        if self.mesh.dim != 1:
-            raise NotImplementedError("pointwise evaluation only in 1-D")
-        return np.interp(np.asarray(x, dtype=float), self.mesh.vertices, self.values)
-
 
 def load_vector(ops: OperatorSet, v: FieldLike, npts: int | None = None) -> np.ndarray:
     """b_i = int v phi_i dx by Gauss quadrature."""
@@ -431,8 +426,8 @@ def discrete_spectrum(ops: OperatorSet) -> DiscreteSpectrum:
     n = ops.n_dofs
     if n > DENSE_EIG_LIMIT:
         raise ValueError(
-            f"{n} dofs exceeds the dense eigensolve limit {DENSE_EIG_LIMIT}; "
-            "use the iterative norm path"
+            f"{n} dofs exceed the dense eigensolve limit of {DENSE_EIG_LIMIT}; "
+            f"use a mesh with at most {DENSE_EIG_LIMIT} vertices"
         )
     lam, vecs = scipy.linalg.eigh(ops.K.toarray(), ops.M.toarray())
     lam = np.maximum(lam, 0.0)
@@ -471,8 +466,53 @@ def l2_error(v: FieldLike, u: FemFunction, ops: OperatorSet, npts: int | None = 
     return float(np.sqrt(np.sum(wts * diff**2)))
 
 
-def prolong(u: FemFunction, fine_mesh: Mesh) -> FemFunction:
-    """Exact P1 prolongation onto a nested refinement (1-D uniform meshes)."""
-    if u.mesh.dim != 1 or fine_mesh.dim != 1:
-        raise NotImplementedError("prolongation implemented for 1-D meshes")
-    return FemFunction(fine_mesh, u(fine_mesh.vertices))
+def prolong(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
+    """P1 prolongation onto a nested mesh: row i holds the coarse hat functions at fine vertex i.
+
+    ``P @ u`` is the fine nodal vector of the coarse P1 function u.  The coarse
+    cells are binned by the box of the grid of coarse vertex coordinates that
+    holds their centroid (one segment per box in 1-D, two triangles in 2-D).
+    Each fine cell is hosted by the cell of its centroid's box in which its
+    vertices have the largest least barycentric coordinate, and those
+    coordinates are the weights of its vertices' rows.  Raises ValueError
+    when a fine cell does not lie in one coarse cell.
+    """
+    if coarse.dim != fine.dim:
+        raise ValueError(f"cannot prolong a {coarse.dim}-D mesh onto a {fine.dim}-D one")
+    cv, fv = (m.vertices.reshape(m.n_vertices, m.dim) for m in (coarse, fine))
+    p = cv[coarse.cells]  # (nc, dim + 1, dim)
+    inv = np.linalg.inv(np.swapaxes(p[:, 1:] - p[:, :1], 1, 2))  # maps x - p0 to lambda_1..dim
+    ticks = [np.unique(x) for x in cv.T]
+    shape = tuple(len(t) - 1 for t in ticks)
+
+    def box(pts):
+        idx = [np.clip(np.searchsorted(t, x) - 1, 0, len(t) - 2) for t, x in zip(ticks, pts.T)]
+        return np.ravel_multi_index(idx, shape)
+
+    # table[b]: the coarse cells whose centroid lies in box b.  Both mesh
+    # builders put as many cells in every box; a wrong candidate could only
+    # fail the nesting check below, never give a wrong weight.
+    table = np.argsort(box(p.mean(axis=1)), kind="stable").reshape(int(np.prod(shape)), -1)
+
+    fpts = fv[fine.cells]  # (nf, dim + 1, dim)
+    cand = table[box(fpts.mean(axis=1))]  # (nf, K)
+    lam = np.einsum("fkij,fkvj->fkvi", inv[cand], fpts[:, None] - p[cand][:, :, :1])
+    bary = np.concatenate([1.0 - lam.sum(-1, keepdims=True), lam], axis=-1)
+    score = bary.min(axis=(2, 3))
+    best = score.argmax(axis=1)
+    if score.max(axis=1).min() < -1e-12:
+        raise ValueError(
+            f"the fine mesh ({fine.n_vertices} vertices) does not nest the coarse mesh "
+            f"({coarse.n_vertices} vertices)"
+        )
+    nloc = coarse.cells.shape[1]
+    _, first = np.unique(fine.cells.ravel(), return_index=True)  # one corner per fine vertex
+    cell, corner = np.divmod(first, nloc)
+    w = bary[cell, best[cell], corner]  # (n_fine_vertices, nloc)
+    P = sp.csr_matrix(
+        (np.where(w < 1e-12, 0.0, w).ravel(), coarse.cells[cand[cell, best[cell]]].ravel(),
+         np.arange(0, w.size + 1, nloc)),
+        shape=(fine.n_vertices, coarse.n_vertices),
+    )
+    P.eliminate_zeros()
+    return P

@@ -9,7 +9,16 @@ import sys
 import pytest
 
 from chc import experiments
-from chc.cli import STUDIES, Bundle, dispatch, main, parse_config, write_run_manifest
+from chc.cli import (
+    RECTANGLE_SWEEPS,
+    STUDIES,
+    Bundle,
+    dispatch,
+    main,
+    parse_config,
+    write_run_manifest,
+)
+from chc.fem import DENSE_EIG_LIMIT, build_rectangle_mesh
 
 
 def write_config(tmp_path, text, name="cfg.txt"):
@@ -192,19 +201,6 @@ class TestRefusedAtParseTime:
         assert not (out / "manifest.txt").exists()
 
     @pytest.mark.parametrize(
-        "study", ["study-det", "study-det-deriv", "study-stoch-conv", "study-strong"]
-    )
-    def test_interval_only_study_on_rectangle_exits_2(self, study, tmp_path, capsys):
-        cfg = write_config(tmp_path, f"study = {study}\ndomain = rectangle\nn = 8\n")
-        out = tmp_path / "rect"
-        with pytest.raises(SystemExit) as exc:
-            main(["--config", cfg, "--out", str(out)])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert f"study '{study}' does not run on domain 'rectangle'" in err
-        assert not (out / "manifest.txt").exists()
-
-    @pytest.mark.parametrize(
         "text",
         [
             "study = study-strong\n",  # the defaults: 8 does not divide N = 100
@@ -245,6 +241,41 @@ class TestRefusedAtParseTime:
         out = tmp_path / "rect_run"
         assert main(["--config", cfg, "--out", str(out)]) == 0
         assert len((out / "run.csv").read_text().splitlines()) == 5
+
+
+class TestRectangle:
+    @pytest.mark.parametrize("study", sorted(STUDIES))
+    def test_every_study_parses(self, study):
+        # N = 64 nests in the study-strong ladder; the schema default N = 100 does not
+        b = parse_config(None, {"study": study, "domain": "rectangle", "N": "64"})
+        entry = STUDIES[study]
+        view = Bundle({k: b.values[k] for k in ("study", "domain", "Lx", "Ly", *entry.keys)})
+        params = inspect.signature(getattr(experiments, entry.function)).parameters
+        assert set(entry.kwargs(view)) <= set(params) - {"domain"}
+
+    def test_strong_exits_0_and_writes_the_mesh_diameter(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            "study = study-strong\ndomain = rectangle\nn = 16\nN = 16\nlevels = 3\n"
+            "T = 0.05\nM = 4\nJ = 8\n",
+        )
+        out = tmp_path / "strong"
+        assert main(["--config", cfg, "--out", str(out)]) == 0
+        with open(out / "study-strong.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["level"] for row in rows] == ["n=4,N=4", "n=8,N=8"]
+        diameters = [build_rectangle_mesh(1.0, 1.0, n, n).h for n in (4, 8)]
+        assert [float(row["h"]) for row in rows] == diameters
+        assert diameters == pytest.approx([2**0.5 / 4, 2**0.5 / 8])
+
+    def test_det_deriv_exits_0(self, tmp_path):
+        cfg = write_config(tmp_path, "study = study-det-deriv\ndomain = rectangle\n")
+        assert main(["--config", cfg, "--out", str(tmp_path / "deriv")]) == 0
+
+    @pytest.mark.parametrize("study", sorted(RECTANGLE_SWEEPS))
+    def test_sweep_stays_under_the_dense_limit(self, study):
+        sweep = RECTANGLE_SWEEPS[study]
+        assert (max(*sweep["ns_spatial"], sweep["n_temporal"]) + 1) ** 2 <= DENSE_EIG_LIMIT
 
 
 def test_newton_failure_messages_reach_stderr(tmp_path, capsys, first_config_fails):

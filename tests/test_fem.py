@@ -94,7 +94,8 @@ class TestProjectors:
         mesh = build_interval_mesh(1.0, 8)
         ops = assemble(mesh)
         v = FemFunction(mesh, np.sin(3 * mesh.vertices))
-        again = project_l2(v, ops, npts=3)
+        # the P1 function itself, evaluated by linear interpolation of its nodal values
+        again = project_l2(lambda x: np.interp(x, mesh.vertices, v.values), ops, npts=3)
         assert np.max(np.abs(again.values - v.values)) < 1e-12
 
     def test_project_rate_two(self):
@@ -247,12 +248,46 @@ class TestH1Bound:
         assert h1_ratio(SpectralField(basis, c), ops) <= 2.0
 
 
-def test_prolong_exact_on_nested():
-    coarse = build_interval_mesh(1.0, 8)
-    fine = build_interval_mesh(1.0, 32)
-    u = FemFunction(coarse, np.sin(2 * coarse.vertices))
-    up = prolong(u, fine)
-    # P1 prolongation is exact at coarse vertices and linear in between
-    assert np.allclose(up.values[::4], u.values, atol=1e-14)
-    mid = 0.5 * (u.values[:-1] + u.values[1:])
-    assert np.allclose(up.values[2::4], mid, atol=1e-14)
+@pytest.mark.parametrize(
+    "coarse, fine",
+    [
+        (build_interval_mesh(1.0, 8), build_interval_mesh(1.0, 32)),
+        *[(build_rectangle_mesh(1.0, 1.0, n, n), build_rectangle_mesh(1.0, 1.0, 2 * n, 2 * n))
+          for n in (2, 3, 4)],
+    ],
+    ids=["interval-8-32", "square-2-4", "square-3-6", "square-4-8"],
+)
+def test_prolong_exact_on_nested(coarse, fine):
+    P = prolong(coarse, fine)
+    assert P.shape == (fine.n_vertices, coarse.n_vertices)
+    np.testing.assert_allclose(P.sum(axis=1), 1.0, rtol=0, atol=1e-14)
+    cpts = coarse.vertices.reshape(coarse.n_vertices, -1)
+    fpts = fine.vertices.reshape(fine.n_vertices, -1)
+    # a linear function is a P1 function on every mesh, so P reproduces it
+    slope = np.array([1.7, -0.9])[: coarse.dim]
+    np.testing.assert_allclose(P @ (0.3 + cpts @ slope), 0.3 + fpts @ slope, rtol=0, atol=1e-14)
+    # a random coarse P1 function, evaluated at each fine vertex in a coarse
+    # cell that holds it, by barycentric coordinates computed here
+    u = np.random.default_rng(0).standard_normal(coarse.n_vertices)
+    expected = np.full(fine.n_vertices, np.nan)
+    for cell in coarse.cells:
+        p = cpts[cell]
+        lam = np.linalg.solve((p[1:] - p[0]).T, (fpts - p[0]).T).T
+        bary = np.column_stack([1.0 - lam.sum(axis=1), lam])
+        inside = bary.min(axis=1) >= -1e-12
+        expected[inside] = bary[inside] @ u[cell]
+    assert not np.isnan(expected).any()
+    np.testing.assert_allclose(P @ u, expected, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "coarse, fine",
+    [
+        (build_interval_mesh(1.0, 3), build_interval_mesh(1.0, 4)),
+        (build_rectangle_mesh(1.0, 1.0, 3, 3), build_rectangle_mesh(1.0, 1.0, 4, 4)),
+    ],
+    ids=["interval-3-4", "square-3-4"],
+)
+def test_prolong_refuses_meshes_that_do_not_nest(coarse, fine):
+    with pytest.raises(ValueError, match="does not nest"):
+        prolong(coarse, fine)
