@@ -1,95 +1,55 @@
 """Command-line entry point: parse a flat config, dispatch a study or run.
 
-Config files are flat ``key = value`` text; unknown keys, keys the study
-does not read and level ladders that do not nest are errors.  Every
-invocation writes its resolved manifest before computing anything, then one
-CSV per study.  The exit status is 0 iff every study check passed.
+A study's config keys are the keyword parameters of the ``chc.experiments``
+function it calls, and a key that is not given takes that function's
+default.  Config files are flat ``key = value`` text; unknown keys, keys the
+study does not take and level ladders that do not nest are errors.  Every
+invocation writes its manifest, every argument the study is called with,
+before computing anything, then one CSV.  The exit status is 0 iff every
+study check passed.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 import time
-from dataclasses import dataclass, field
-from typing import Callable
 
 from . import __version__, experiments
 from .potential import Potential
 from .spectral import DomainSpec
 
-# key -> (type, default); None default means "required" or study-specific
-_SCHEMA = {
-    "study": (str, None),
-    "domain": (str, "interval"),
-    "L": (float, 1.0),
-    "Lx": (float, 1.0),
-    "Ly": (float, 1.0),
-    "n": (int, 64),
-    "N": (int, 100),
-    "T": (float, 0.1),
-    "M": (int, 64),
-    "J": (int, 32),
-    "sigma": (float, 1.0),
-    "r": (float, 2.0),
-    "seed": (int, 42),
-    "levels": (int, 4),
-    "factor": (int, 2),
-    "potential": (str, "0.25,0,-0.5,0,0.25"),
-    "x0": (str, "0,0.1,0.05"),
-    "workers": (int, 1),
+
+def _floats(text: str) -> tuple:
+    return tuple(float(v) for v in text.split(","))
+
+
+# config key -> parser of its value; the defaults are the study function's
+CONFIG_KEYS = {
+    "study": str, "domain": str, "L": float, "Lx": float, "Ly": float,
+    "n": int, "N": int, "T": float, "M": int, "J": int, "sigma": float, "r": float,
+    "seed": int, "levels": int, "factor": int, "workers": int, "x0": _floats,
+    "potential": lambda text: Potential(_floats(text)).F_coeffs,
 }
 
-
-@dataclass
-class Bundle:
-    """Resolved configuration: every schema key materialized."""
-
-    values: dict = field(default_factory=dict)
-
-    def __getattr__(self, key):
-        try:
-            return self.values[key]
-        except KeyError:
-            raise AttributeError(key)
-
-    @property
-    def domain_spec(self) -> DomainSpec:
-        kind = self.values["domain"]
-        if kind not in _LENGTH_KEYS:
-            raise ValueError(f"unknown domain {kind!r}")
-        return DomainSpec(kind, tuple(self.values[k] for k in _LENGTH_KEYS[kind]))
-
-    @property
-    def potential_obj(self) -> Potential:
-        coeffs = tuple(float(v) for v in self.values["potential"].split(","))
-        return Potential(coeffs)
-
-    @property
-    def x0_coeffs(self) -> tuple:
-        return tuple(float(v) for v in self.values["x0"].split(","))
-
-
+# The domain defaults to the unit interval; a length that is not given is 1.
 _LENGTH_KEYS = {"interval": ("L",), "rectangle": ("Lx", "Ly")}
 
 _RUN_HEADER = ("step", "t", "mass_deviation", "J", "Y_h1", "newton_iters")
 
-
-@dataclass(frozen=True)
-class Study:
-    """One CLI study: the ``chc.experiments`` function it calls and the config keys it reads.
-
-    ``kwargs`` maps a bundle that holds only the domain keys and ``keys`` to
-    the function's keyword arguments; the domain is passed as ``domain``.
-    The function is named, not held, so that it is looked up on the module
-    when the study runs.
-    """
-
-    function: str
-    keys: tuple = ()
-    kwargs: Callable[[Bundle], dict] = lambda b: {}
-
+# study -> the name of the chc.experiments function it calls, which is looked
+# up on the module when the study runs
+STUDIES = {
+    "run": "single_run",
+    "study-det": "det_linear_rate_study",
+    "study-det-deriv": "det_derivative_rate_study",
+    "study-stoch-conv": "stoch_conv_rate_study",
+    "study-strong": "strong_convergence_study",
+    "study-moments": "moment_bound_study",
+    "probe-holder": "holder_probe",
+}
 
 # The rectangle sweeps of the studies that take the dense discrete spectrum:
 # every mesh keeps (n + 1)**2 nodes within fem.DENSE_EIG_LIMIT.  On the
@@ -101,62 +61,17 @@ RECTANGLE_SWEEPS = {
 }
 
 
-def _sweep(study: str, b: Bundle) -> dict:
-    return RECTANGLE_SWEEPS[study] if b.domain == "rectangle" else {}
+def parse_config(
+    path: str | None, overrides: dict | None = None
+) -> tuple[str, inspect.BoundArguments]:
+    """Read a flat key = value file and apply the overrides.
 
-
-# Keys of every study that marches the nonlinear scheme along a noise path.
-_PATH_KEYS = ("T", "sigma", "r", "J", "seed", "potential", "x0")
-
-
-def _path_kwargs(b: Bundle) -> dict:
-    return dict(
-        T=b.T, sigma=b.sigma, r=b.r, J=b.J, seed=b.seed,
-        pot=b.potential_obj, x0_coeffs=b.x0_coeffs,
-    )
-
-
-STUDIES = {
-    "run": Study(
-        "single_run",
-        ("n", "N", *_PATH_KEYS),
-        lambda b: dict(n=b.n, N=b.N, **_path_kwargs(b)),
-    ),
-    "study-det": Study("det_linear_rate_study", (), lambda b: _sweep("study-det", b)),
-    "study-det-deriv": Study(
-        "det_derivative_rate_study", (), lambda b: _sweep("study-det-deriv", b)
-    ),
-    "study-stoch-conv": Study(
-        "stoch_conv_rate_study",
-        ("r", "sigma", "M", "seed"),
-        lambda b: dict(r=b.r, sigma=b.sigma, M=b.M, seed=b.seed, **_sweep("study-stoch-conv", b)),
-    ),
-    "study-strong": Study(
-        "strong_convergence_study",
-        ("n", "N", "levels", "factor", "M", "workers", *_PATH_KEYS),
-        lambda b: dict(
-            finest=(b.n, b.N), n_levels=b.levels, factor=b.factor, M=b.M,
-            workers=b.workers, **_path_kwargs(b),
-        ),
-    ),
-    "study-moments": Study(
-        "moment_bound_study",
-        ("n", "N", "M", "workers", *_PATH_KEYS),
-        lambda b: dict(
-            ladder=tuple((b.n * 2**i, b.N * 2**i) for i in range(3)), M=b.M,
-            workers=b.workers, **_path_kwargs(b),
-        ),
-    ),
-    "probe-holder": Study(
-        "holder_probe",
-        ("n", "N", *_PATH_KEYS),
-        lambda b: dict(n=b.n, N_fine=b.N, **_path_kwargs(b)),
-    ),
-}
-
-
-def parse_config(path: str | None, overrides: dict | None = None) -> Bundle:
-    """Read a flat key = value file, apply overrides, validate against schema."""
+    Returns the study and its function's arguments, defaults applied.  A
+    file key must be ``study``, ``domain``, a length of the domain or a
+    parameter of the study's function; an override that is not one of these
+    is dropped, so ``--seed`` and ``--workers`` apply to the studies that
+    take them.
+    """
     raw = {}  # the file's keys, then the overrides
     if path is not None:
         with open(path) as fh:
@@ -174,84 +89,80 @@ def parse_config(path: str | None, overrides: dict | None = None) -> Bundle:
 
     values = {}
     for key, text in raw.items():
-        if key not in _SCHEMA:
+        if key not in CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r}")
-        typ, _ = _SCHEMA[key]
         try:
-            values[key] = typ(text)
-        except (TypeError, ValueError):
-            raise ValueError(f"config key {key!r}: cannot parse {text!r} as {typ.__name__}")
-    for key, (typ, default) in _SCHEMA.items():
-        values.setdefault(key, default)
+            values[key] = CONFIG_KEYS[key](text)
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"config key {key!r}: cannot parse {text!r} ({err})")
 
-    if values["study"] is None:
+    study = values.get("study")
+    if study is None:
         raise ValueError("missing required key 'study'")
-    study = values["study"]
     if study not in STUDIES:
         raise ValueError(f"unknown study {study!r}")
-    if values["domain"] not in _LENGTH_KEYS:
-        raise ValueError(
-            f"unknown domain {values['domain']!r}; expected one of {', '.join(_LENGTH_KEYS)}"
-        )
-    unread = sorted(file_keys - set(_read_keys(Bundle(values))))
-    if unread:
-        raise ValueError(f"study {study!r} does not read config keys {', '.join(unread)}")
-    if values["N"] < 1:
-        raise ValueError("N must be >= 1")
-    if values["n"] < 2:
-        raise ValueError("n must be >= 2")
-    if values["T"] <= 0:
+    kind = values.get("domain", "interval")
+    if kind not in _LENGTH_KEYS:
+        raise ValueError(f"unknown domain {kind!r}; expected one of {', '.join(_LENGTH_KEYS)}")
+    domain = DomainSpec(kind, tuple(values.get(k, 1.0) for k in _LENGTH_KEYS[kind]))
+    signature = inspect.signature(getattr(experiments, STUDIES[study]))
+    params = set(signature.parameters) - {"domain"}
+    refused = sorted(file_keys - params - {"study", "domain", *_LENGTH_KEYS[kind]})
+    if refused:
+        raise ValueError(f"study {study!r} does not read config keys {', '.join(refused)}")
+
+    given = {k: v for k, v in values.items() if k in params}
+    for key, lo in (("N", 1), ("n", 2), ("M", 1)):
+        if given.get(key, lo) < lo:
+            raise ValueError(f"{key} must be >= {lo}")
+    if given.get("T", 1.0) <= 0:
         raise ValueError("T must be positive")
-    if values["M"] < 1:
-        raise ValueError("M must be >= 1")
-    _check_ladder(study, values)
-    return Bundle(values)
+    sweep = RECTANGLE_SWEEPS.get(study, {}) if kind == "rectangle" else {}
+    args = signature.bind(domain=domain, **sweep, **given)
+    args.apply_defaults()
+    _check_ladder(study, args.arguments)
+    return study, args
 
 
-def _check_ladder(study: str, v: dict) -> None:
+def _check_ladder(study: str, a: dict) -> None:
     """Refuse level ladders whose coarse meshes and time grids do not nest in the finest."""
     if study == "study-strong":
-        if v["levels"] < 2 or v["factor"] < 2:
+        if a["levels"] < 2 or a["factor"] < 2:
             raise ValueError(f"study {study!r} needs levels >= 2 and factor >= 2")
-        coarsening = v["factor"] ** (v["levels"] - 1)
-        if v["n"] % coarsening or v["N"] % coarsening or v["n"] // coarsening < 2:
+        coarsening = a["factor"] ** (a["levels"] - 1)
+        if a["n"] % coarsening or a["N"] % coarsening or a["n"] // coarsening < 2:
             raise ValueError(
-                f"study {study!r}: levels do not nest: n={v['n']} and N={v['N']} must be "
+                f"study {study!r}: levels do not nest: n={a['n']} and N={a['N']} must be "
                 f"multiples of factor**(levels-1) = {coarsening}, with n/{coarsening} >= 2"
             )
-    if study == "probe-holder" and v["N"] % 4:
+    if study == "probe-holder" and a["N"] % max(a["factors"]):
         raise ValueError(
-            f"study {study!r}: N={v['N']} must be a multiple of 4 (it steps with N/4, N/2 and N)"
+            f"study {study!r}: N={a['N']} must be a multiple of max(factors) = "
+            f"{max(a['factors'])} (it steps with N/f for each f in {a['factors']})"
         )
 
 
-def _read_keys(bundle: Bundle) -> list:
-    """Config keys the bundle's study reads: the study, its domain and its table keys."""
-    lengths = _LENGTH_KEYS.get(bundle.values["domain"], ())
-    return sorted({"study", "domain", *lengths, *STUDIES[bundle.study].keys})
-
-
-def write_run_manifest(bundle: Bundle, outdir: str, csv_name: str) -> str:
-    """manifest.txt: version, timestamp, the config keys the study reads, the CSV name."""
+def write_run_manifest(
+    study: str, args: inspect.BoundArguments, outdir: str, csv_name: str
+) -> str:
+    """manifest.txt: version, timestamp, the study, its domain, every other argument, the CSV."""
+    domain = args.arguments["domain"]
     entries = {"artifact_version": __version__, "timestamp": f"{time.time():.0f}"}
-    entries.update({k: bundle.values[k] for k in _read_keys(bundle)})
+    entries.update(study=study, domain=domain.kind)
+    entries.update(zip(_LENGTH_KEYS[domain.kind], domain.lengths))
+    entries.update((k, v) for k, v in args.arguments.items() if k != "domain")
     entries["output_csv"] = csv_name
     path = os.path.join(outdir, "manifest.txt")
     experiments.write_manifest(path, entries)
     return path
 
 
-def dispatch(bundle: Bundle, outdir: str) -> int:
-    """Run the configured study, write CSV + manifest, return exit status."""
+def dispatch(study: str, args: inspect.BoundArguments, outdir: str) -> int:
+    """Run the study on its arguments, write CSV + manifest, return exit status."""
     os.makedirs(outdir, exist_ok=True)
-    study = bundle.study
     csv_name = f"{study}.csv"
-    write_run_manifest(bundle, outdir, csv_name)
-    entry = STUDIES[study]
-    # The study sees only the keys its table entry names.
-    view = Bundle({k: bundle.values[k] for k in _read_keys(bundle)})
-    fn = getattr(experiments, entry.function)  # looked up now, not at import
-    out = fn(domain=view.domain_spec, **entry.kwargs(view))
+    write_run_manifest(study, args, outdir, csv_name)
+    out = getattr(experiments, STUDIES[study])(*args.args, **args.kwargs)
     if study == "run":
         (report, rows), header = out, _RUN_HEADER
     else:
@@ -290,13 +201,13 @@ def main(argv=None) -> int:
         "workers": args.get("workers"),
     }
     try:
-        bundle = parse_config(args.get("config"), overrides)
+        study, study_args = parse_config(args.get("config"), overrides)
     except (ValueError, OSError) as err:
         parser.exit(2, f"error: {err}\n")
     try:
-        return dispatch(bundle, args.get("out", "out"))
+        return dispatch(study, study_args, args.get("out", "out"))
     except Exception as err:  # surfaced with context, nonzero exit
-        print(f"error: {bundle.study}: {err}", file=sys.stderr)
+        print(f"error: {study}: {err}", file=sys.stderr)
         return 1
 
 

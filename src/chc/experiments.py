@@ -40,7 +40,7 @@ from .noise import (
     field_coefficients,
     sample_increments,
 )
-from .potential import Potential, double_well, zero_potential
+from .potential import Potential, zero_potential
 from .spectral import DomainSpec, EigenBasis, SpectralField, build_basis, semigroup_apply
 from .stepper import NewtonError, StepperConfig, lyapunov_J, run_trajectory
 
@@ -82,10 +82,6 @@ class RateStudyResult:
     levels: list[LevelResult]
     slope: float
     r2: float
-
-    @property
-    def errors(self) -> np.ndarray:
-        return np.array([lv.error for lv in self.levels])
 
     @classmethod
     def fit(cls, sweep: str, levels: list[LevelResult], x: str = "h") -> RateStudyResult:
@@ -523,14 +519,18 @@ class _Level(NamedTuple):
 
 
 @functools.lru_cache(maxsize=32)
-def _level_context(domain, n, noise, pot_coeffs, x0_coeffs) -> _Level:
-    """Per-level assembled context shared by nonlinear Monte-Carlo samples."""
+def _level_context(domain, n, noise, potential, x0) -> _Level:
+    """Per-level assembled context shared by nonlinear Monte-Carlo samples.
+
+    ``potential`` holds the coefficients of F, constant term first, and
+    ``x0`` the leading spectral coefficients of X(0).
+    """
     ops = _assembled(domain, n)
     basis = build_basis(domain, noise.J)
     c0 = np.zeros(noise.J)
-    c0[: len(x0_coeffs)] = x0_coeffs
+    c0[: len(x0)] = x0
     X0 = project_l2(SpectralField(basis, c0), ops)
-    return _Level(ops, basis, noise, Potential(pot_coeffs), X0)
+    return _Level(ops, basis, noise, Potential(potential), X0)
 
 
 def _run_level(level: _Level, inc: WienerIncrements, factor: int = 1, store: str = "all"):
@@ -553,15 +553,18 @@ def _run_level(level: _Level, inc: WienerIncrements, factor: int = 1, store: str
 def _strong_sample(params, m):
     """One coupled trajectory hierarchy; returns per-level sup-errors squared.
 
+    The sup runs over the steps n >= 1: at n = 0 every sample compares the
+    two meshes' projections of the same X0.
+
     Returns (None, message) if Newton fails at any level, the message naming
     the sample and the level, so the study can report the failure without
     losing the whole campaign.
     """
-    (domain, levels, T, noise, pot_coeffs, x0_coeffs) = params
+    (domain, levels, T, noise, potential, x0) = params
     n_ref, N_ref = levels[-1]
     factors = tuple(N_ref // N for (_, N) in levels)
     inc = sample_increments(noise, T, N_ref, factors=factors, sample_index=m)
-    ref = _level_context(domain, n_ref, noise, pot_coeffs, x0_coeffs)
+    ref = _level_context(domain, n_ref, noise, potential, x0)
     label = f"n={n_ref},N={N_ref}"
     try:
         ref_states, _ = _run_level(ref, inc)
@@ -571,11 +574,11 @@ def _strong_sample(params, m):
         for (n, N) in levels[:-1]:
             label = f"n={n},N={N}"
             fac = N_ref // N
-            level = _level_context(domain, n, noise, pot_coeffs, x0_coeffs)
+            level = _level_context(domain, n, noise, potential, x0)
             states, _ = _run_level(level, inc, fac)
             P = prolong(level.ops.mesh, ref.ops.mesh)
             d = X_ref[::fac] - (P @ np.stack([s.X.values for s in states]).T).T
-            sup_errs.append(float(np.einsum("ij,ij->i", d, (ref.ops.M @ d.T).T).max()))
+            sup_errs.append(float(np.einsum("ij,ij->i", d, (ref.ops.M @ d.T).T)[1:].max()))
     except NewtonError as err:
         return None, f"sample {m}: {label}: {err}"
     return sup_errs, inc.checksum()
@@ -583,8 +586,9 @@ def _strong_sample(params, m):
 
 def strong_convergence_study(
     domain: DomainSpec = DomainSpec.interval(1.0),
-    finest: tuple = (128, 256),
-    n_levels: int = 4,
+    n: int = 128,
+    N: int = 256,
+    levels: int = 4,
     factor: int = 2,
     T: float = 0.1,
     M: int = 64,
@@ -592,34 +596,35 @@ def strong_convergence_study(
     r: float = 2.0,
     J: int = 32,
     seed: int = 42,
-    pot: Potential = double_well(),
-    x0_coeffs: tuple = (0.0, 0.1, 0.05),
+    potential: tuple = (0.25, 0.0, -0.5, 0.0, 0.25),
+    x0: tuple = (0.0, 0.1, 0.05),
     workers: int = 1,
 ) -> StudyReport:
     """Self-convergence of the nonlinear scheme on a coupled hierarchy.
 
-    The finest level doubles as the surrogate truth; every sample drives
-    all levels with one Brownian path (coarse increments are exact sums of
-    the fine ones).  Reported per level: the Monte-Carlo estimate of
-    E max_n ||X_ref(t_n) - X_l(t_n)||^2 on the level's own time grid.  No
+    The hierarchy has ``levels`` levels, the finest (n, N) and each
+    coarser one ``factor`` times coarser in h and k.  The finest level
+    doubles as the surrogate truth; every sample drives all levels with one
+    Brownian path (coarse increments are exact sums of the fine ones).
+    Reported per level: the Monte-Carlo estimate of
+    E max_{n>=1} ||X_ref(t_n) - X_l(t_n)||^2 on the level's own time grid.  No
     rate is asserted, only decay: strictly decreasing up to a 10%
     statistical slack, with a 2-standard-error separation between the
     coarsest and finest compared levels.
     """
-    n_f, N_f = finest
-    levels = [
-        (n_f // factor**i, N_f // factor**i) for i in range(n_levels - 1, -1, -1)
-    ]
+    hierarchy = [(n // factor**i, N // factor**i) for i in range(levels - 1, -1, -1)]
     noise = NoiseSpec(r=r, sigma=sigma, J=J, seed=seed)
-    params = (domain, tuple(levels), T, noise, pot.F_coeffs, tuple(x0_coeffs))
+    params = (domain, tuple(hierarchy), T, noise, potential, x0)
     fn = functools.partial(_strong_sample, params)
 
     failures = []
     per_level, checksums = _successes(map_samples(fn, M, workers), failures)
     means, ses = _mean_se(np.array(per_level))  # per compared level
     rows = [
-        LevelResult(f"n={n},N={N}", _assembled(domain, n).mesh.h, T / N, M, float(mu), float(se))
-        for (n, N), mu, se in zip(levels[:-1], means, ses)
+        LevelResult(
+            f"n={nl},N={Nl}", _assembled(domain, nl).mesh.h, T / Nl, M, float(mu), float(se)
+        )
+        for (nl, Nl), mu, se in zip(hierarchy[:-1], means, ses)
     ]
     res = RateStudyResult.fit("coupled", rows)
 
@@ -651,9 +656,9 @@ def _moment_sample(params, m):
 
     Returns (statistics, None), or (None, message) if Newton fails.
     """
-    (domain, n, N, T, noise, pot_coeffs, x0_coeffs) = params
+    (domain, n, N, T, noise, potential, x0) = params
     inc = sample_increments(noise, T, N, sample_index=m)
-    level = _level_context(domain, n, noise, pot_coeffs, x0_coeffs)
+    level = _level_context(domain, n, noise, potential, x0)
     ops, pot, X0 = level.ops, level.pot, level.X0
     try:
         states, diags = _run_level(level, inc)
@@ -673,15 +678,16 @@ def _moment_sample(params, m):
 
 def moment_bound_study(
     domain: DomainSpec = DomainSpec.interval(1.0),
-    ladder: tuple = ((32, 64), (64, 128), (128, 256)),
+    n: int = 32,
+    N: int = 64,
     T: float = 0.1,
     M: int = 64,
     sigma: float = 1.0,
     r: float = 2.0,
     J: int = 32,
     seed: int = 42,
-    pot: Potential = double_well(),
-    x0_coeffs: tuple = (0.0, 0.1, 0.05),
+    potential: tuple = (0.25, 0.0, -0.5, 0.0, 0.25),
+    x0: tuple = (0.0, 0.1, 0.05),
     workers: int = 1,
 ) -> StudyReport:
     """Stability of moment estimates across an (h, k) refinement ladder.
@@ -690,25 +696,26 @@ def moment_bound_study(
     p in {1, 2}, and E sup_j |X^j|_{-1,h}^{2p}, E sup_j ||X^j||^{2p}; the
     bounding constants of the theory are non-constructive, so the testable
     statement is that the estimates do not blow up under refinement
-    (max/min ratio <= 3 for the p=1 energy statistics).
+    (max/min ratio <= 3 for the p=1 energy statistics).  The ladder has
+    the three rungs (n 2^i, N 2^i), i < 3.
     """
     stats = {"sup_J": [], "sum_Y": [], "sup_minus1": [], "sup_l2": [], "mass": []}
     second = {"sup_J": [], "sum_Y": [], "sup_minus1": [], "sup_l2": []}
     rows = []
     failures = []
     noise = NoiseSpec(r=r, sigma=sigma, J=J, seed=seed)
-    for (n, N) in ladder:
-        params = (domain, n, N, T, noise, pot.F_coeffs, tuple(x0_coeffs))
+    for (nl, Nl) in ((n * 2**i, N * 2**i) for i in range(3)):
+        params = (domain, nl, Nl, T, noise, potential, x0)
         fn = functools.partial(_moment_sample, params)
-        vals, _ = _successes(map_samples(fn, M, workers), failures, f" at n={n}, N={N}")
+        vals, _ = _successes(map_samples(fn, M, workers), failures, f" at n={nl}, N={Nl}")
         vals = np.array(vals)  # (ok, 5)
         for i, key in enumerate(("sup_J", "sum_Y", "sup_minus1", "sup_l2")):
             stats[key].append(float(vals[:, i].mean()))
             second[key].append(float((vals[:, i] ** 2).mean()))
         stats["mass"].append(float(vals[:, 4].max()))
         mean_J, se_J = _mean_se(vals[:, 0])
-        h = _assembled(domain, n).mesh.h
-        rows.append(LevelResult(f"n={n},N={N}", h, T / N, M, float(mean_J), float(se_J)))
+        h = _assembled(domain, nl).mesh.h
+        rows.append(LevelResult(f"n={nl},N={Nl}", h, T / Nl, M, float(mean_J), float(se_J)))
 
     res = RateStudyResult("ladder", rows, float("nan"), float("nan"))
     r_J = _spread(stats["sup_J"])
@@ -734,48 +741,48 @@ _HOLDER_GAMMAS = (0.25, 0.4, 0.45)  # Hölder exponents probed; the first is che
 def holder_probe(
     domain: DomainSpec = DomainSpec.interval(1.0),
     n: int = 64,
-    N_fine: int = 512,
+    N: int = 512,
     factors: tuple = (4, 2, 1),
     T: float = 0.1,
     sigma: float = 1.0,
     r: float = 2.0,
     J: int = 32,
     seed: int = 42,
-    pot: Potential = double_well(),
-    x0_coeffs: tuple = (0.0, 0.1, 0.05),
+    potential: tuple = (0.25, 0.0, -0.5, 0.0, 0.25),
+    x0: tuple = (0.0, 0.1, 0.05),
 ) -> StudyReport:
     """Empirical Hölder quotients of one path under time-step refinement.
 
     max_{i, s dyadic} ||X(t_{i+s}) - X(t_i)|| / (s k)^gamma for each gamma
-    in ``_HOLDER_GAMMAS``; the step sizes share the Brownian path of sample
-    0.  Pathwise Hölder-1/2^- regularity predicts the gamma = 0.25 quotient
-    stays stable (ratio <= 3) as k is refined, while gamma near 1/2 may grow
-    slowly.
+    in ``_HOLDER_GAMMAS``, with N / f steps for each f in ``factors``; the
+    step sizes share the Brownian path of sample 0.  Pathwise Hölder-1/2^-
+    regularity predicts the gamma = 0.25 quotient stays stable (ratio <= 3)
+    as k is refined, while gamma near 1/2 may grow slowly.
     """
     noise = NoiseSpec(r=r, sigma=sigma, J=J, seed=seed)
-    inc = sample_increments(noise, T, N_fine, factors=factors)
-    level = _level_context(domain, n, noise, pot.F_coeffs, tuple(x0_coeffs))
+    inc = sample_increments(noise, T, N, factors=factors)
+    level = _level_context(domain, n, noise, potential, x0)
     ops = level.ops
 
     table = {}
     rows = []
     for fac in factors:
-        N = N_fine // fac
-        k = T / N
+        steps = N // fac
+        k = T / steps
         states, _ = _run_level(level, inc, fac)
-        X = np.stack([s.X.values for s in states])  # (N+1, dofs)
+        X = np.stack([s.X.values for s in states])  # (steps+1, dofs)
         quots = {}
         for g in _HOLDER_GAMMAS:
             best = 0.0
             s = 1
-            while s <= N // 2:
+            while s <= steps // 2:
                 d = X[s:] - X[:-s]
                 norms2 = np.einsum("ij,ij->i", d, (ops.M @ d.T).T)
                 best = max(best, float(np.sqrt(norms2.max()) / (s * k) ** g))
                 s *= 2
             quots[g] = best
         table[fac] = quots
-        rows.append(LevelResult(f"N={N}", ops.mesh.h, k, 1, quots[_HOLDER_GAMMAS[0]], 0.0))
+        rows.append(LevelResult(f"N={steps}", ops.mesh.h, k, 1, quots[_HOLDER_GAMMAS[0]], 0.0))
 
     res = RateStudyResult("holder", rows, float("nan"), float("nan"))
     ratio = _spread([table[f][_HOLDER_GAMMAS[0]] for f in factors])
@@ -803,12 +810,12 @@ def single_run(
     r: float = 2.0,
     J: int = 32,
     seed: int = 42,
-    pot: Potential = double_well(),
-    x0_coeffs: tuple = (0.0, 0.1, 0.05),
+    potential: tuple = (0.25, 0.0, -0.5, 0.0, 0.25),
+    x0: tuple = (0.0, 0.1, 0.05),
 ) -> tuple[StudyReport, list[tuple]]:
     """One trajectory on the path of sample 0, with per-step diagnostics (``chc run``)."""
     noise = NoiseSpec(r=r, sigma=sigma, J=J, seed=seed)
-    level = _level_context(domain, n, noise, pot.F_coeffs, tuple(x0_coeffs))
+    level = _level_context(domain, n, noise, potential, x0)
     ops, pot, X0 = level.ops, level.pot, level.X0
     k = T / N
     inc = sample_increments(noise, T, N)

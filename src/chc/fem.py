@@ -56,10 +56,6 @@ class Mesh:
     def n_vertices(self) -> int:
         return self.vertices.shape[0]
 
-    @property
-    def n_cells(self) -> int:
-        return self.cells.shape[0]
-
     def cell_measures(self) -> np.ndarray:
         """Length of each segment or area of each triangle."""
         if self.dim == 1:

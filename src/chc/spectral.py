@@ -72,9 +72,6 @@ class EigenBasis:
     indices: tuple[tuple[int, ...], ...]
     eigenvalues: np.ndarray = field(repr=False)
 
-    def __len__(self) -> int:
-        return len(self.indices)
-
     @property
     def J(self) -> int:
         return len(self.indices)
@@ -171,9 +168,6 @@ class SpectralField:
             shape = x.shape[:-1] if self.basis.domain.dim == 2 else x.shape
             out = np.zeros(shape)
         return out
-
-    def scaled(self, gamma: float) -> "SpectralField":
-        return SpectralField(self.basis, gamma * self.coeffs)
 
     @staticmethod
     def single_mode(basis: EigenBasis, j: int, amplitude: float = 1.0) -> "SpectralField":

@@ -10,15 +10,16 @@ import pytest
 
 from chc import experiments
 from chc.cli import (
+    CONFIG_KEYS,
     RECTANGLE_SWEEPS,
     STUDIES,
-    Bundle,
     dispatch,
     main,
     parse_config,
     write_run_manifest,
 )
 from chc.fem import DENSE_EIG_LIMIT, build_rectangle_mesh
+from chc.spectral import DomainSpec
 
 
 def write_config(tmp_path, text, name="cfg.txt"):
@@ -30,13 +31,19 @@ def write_config(tmp_path, text, name="cfg.txt"):
 class TestParseConfig:
     def test_defaults_and_overrides(self, tmp_path):
         cfg = write_config(tmp_path, "study = run\nn = 16\n# comment\nT = 0.05\n")
-        b = parse_config(cfg)
-        assert b.study == "run"
-        assert b.n == 16
-        assert b.T == 0.05
-        assert b.seed == 42  # default
-        b2 = parse_config(cfg, {"seed": "7"})
-        assert b2.seed == 7
+        study, args = parse_config(cfg)
+        assert study == "run"
+        assert args.arguments["n"] == 16
+        assert args.arguments["T"] == 0.05
+        assert args.arguments["seed"] == 42  # single_run's default
+        _, args2 = parse_config(cfg, {"seed": "7"})
+        assert args2.arguments["seed"] == 7
+
+    @pytest.mark.parametrize("study", sorted(STUDIES))
+    def test_a_bare_study_takes_its_function_defaults(self, study):
+        _, args = parse_config(None, {"study": study})
+        params = inspect.signature(getattr(experiments, STUDIES[study])).parameters
+        assert args.arguments == {name: p.default for name, p in params.items()}
 
     def test_unknown_key(self, tmp_path):
         cfg = write_config(tmp_path, "study = run\nbogus = 1\n")
@@ -68,17 +75,28 @@ class TestParseConfig:
         cfg = write_config(
             tmp_path, "study = run\ndomain = rectangle\nLx = 2\nLy = 1\n"
         )
-        b = parse_config(cfg)
-        assert b.domain_spec.kind == "rectangle"
-        assert b.potential_obj.F_coeffs == (0.25, 0.0, -0.5, 0.0, 0.25)
-        assert b.x0_coeffs == (0.0, 0.1, 0.05)
+        args = parse_config(cfg)[1].arguments
+        assert args["domain"] == DomainSpec.rectangle(2.0, 1.0)
+        assert args["potential"] == (0.25, 0.0, -0.5, 0.0, 0.25)
+        assert args["x0"] == (0.0, 0.1, 0.05)
+        cfg = write_config(tmp_path, "study = run\npotential = 0,0,-1,0,1\nx0 = 0,0.2\n", "c2.txt")
+        args = parse_config(cfg)[1].arguments
+        assert args["potential"] == (0.0, 0.0, -1.0, 0.0, 1.0)
+        assert args["x0"] == (0.0, 0.2)
+
+    def test_bad_potential_is_refused(self, tmp_path):
+        cfg = write_config(tmp_path, "study = run\npotential = 0,0,1\n")
+        with pytest.raises(ValueError, match="cannot parse .* 5 coefficients"):
+            parse_config(cfg)
 
 
 class TestDispatch:
     def test_run_writes_artifacts(self, tmp_path):
-        b = parse_config(None, {"study": "run", "n": "16", "N": "10", "T": "0.01", "J": "8"})
+        study, args = parse_config(
+            None, {"study": "run", "n": "16", "N": "10", "T": "0.01", "J": "8"}
+        )
         out = tmp_path / "out"
-        status = dispatch(b, str(out))
+        status = dispatch(study, args, str(out))
         assert status == 0
         assert (out / "manifest.txt").exists()
         assert (out / "run.csv").exists()
@@ -90,52 +108,88 @@ class TestDispatch:
         assert header == "step,t,mass_deviation,J,Y_h1,newton_iters"
 
     def test_study_csv_schema(self, tmp_path):
-        b = parse_config(None, {"study": "study-det-deriv"})
         out = tmp_path / "o2"
-        assert dispatch(b, str(out)) == 0
+        assert dispatch(*parse_config(None, {"study": "study-det-deriv"}), str(out)) == 0
         lines = (out / "study-det-deriv.csv").read_text().splitlines()
         assert lines[0] == "level,h,k,M,error,stderr,slope,r2"
         assert len(lines) == 9  # two sweeps x four levels
 
 
     def test_strong_csv_reads_as_csv(self, tmp_path):
-        b = parse_config(
+        parsed = parse_config(
             None,
             {"study": "study-strong", "n": "16", "N": "16", "levels": "3", "T": "0.01",
              "M": "2", "J": "8"},
         )
         out = tmp_path / "strong"
-        dispatch(b, str(out))
+        dispatch(*parsed, str(out))
         with open(out / "study-strong.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [row["level"] for row in rows] == ["n=4,N=4", "n=8,N=8"]
         assert [float(row["h"]) for row in rows] == [0.25, 0.125]
 
     def test_stoch_conv_manifest_records_what_it_reads(self, tmp_path):
-        b = parse_config(None, {"study": "study-stoch-conv"})
-        path = write_run_manifest(b, str(tmp_path), "study-stoch-conv.csv")
+        study, args = parse_config(None, {"study": "study-stoch-conv"})
+        path = write_run_manifest(study, args, str(tmp_path), "study-stoch-conv.csv")
         with open(path) as fh:
-            keys = [line.split(" = ")[0] for line in fh]
-        assert not {"J", "n", "N"} & set(keys)
-        assert keys == [
-            "artifact_version", "timestamp", "L", "M", "domain", "r", "seed", "sigma",
-            "study", "output_csv",
+            entries = dict(line.rstrip("\n").split(" = ") for line in fh)
+        assert list(entries) == [
+            "artifact_version", "timestamp", "study", "domain", "L", "r", "sigma", "J", "M",
+            "seed", "n_temporal", "T_temporal", "Ns_temporal", "ns_spatial", "T_spatial",
+            "N_spatial", "output_csv",
         ]
+        assert entries["J"] == "64"
+        assert entries["M"] == "200"
+        assert entries["Ns_temporal"] == entries["ns_spatial"] == "(8, 16, 32, 64)"
+
+    def test_rectangle_det_manifest_records_its_sweep(self, tmp_path):
+        study, args = parse_config(None, {"study": "study-det", "domain": "rectangle"})
+        path = write_run_manifest(study, args, str(tmp_path), "study-det.csv")
+        with open(path) as fh:
+            text = fh.read()
+        assert "domain = rectangle\nLx = 1.0\nLy = 1.0\n" in text
+        assert "ns_spatial = (8, 16, 32)\n" in text
+        assert "n_temporal = 32\n" in text
 
 
-@pytest.mark.parametrize("study", sorted(STUDIES))
-def test_table_keys_are_the_keys_read(study):
-    # the manifest records an entry's keys, so each must be read and no other
-    entry = STUDIES[study]
-    # N = 64 nests in the study-strong ladder; the schema default N = 100 does not
-    full = parse_config(None, {"study": study, "N": "64"}).values
-    view = {k: full[k] for k in ("study", "domain", "L", *entry.keys)}
-    kwargs = entry.kwargs(Bundle(view))
-    params = inspect.signature(getattr(experiments, entry.function)).parameters
-    assert set(kwargs) <= set(params) - {"domain"}
-    for key in entry.keys:
-        with pytest.raises((AttributeError, KeyError)):
-            entry.kwargs(Bundle({k: v for k, v in view.items() if k != key}))
+# one value of each config key, valid for every study that takes it (the strong
+# ladder still nests with any one of them)
+_VALUES = {
+    "L": "1", "Lx": "1", "Ly": "2", "n": "64", "N": "128", "T": "0.05", "M": "4",
+    "J": "8", "sigma": "0.5", "r": "2", "seed": "3", "levels": "3", "factor": "2",
+    "potential": "0.25,0,-0.5,0,0.25", "x0": "0,0.1", "workers": "1",
+}
+
+
+@pytest.mark.parametrize(
+    "study, kind",
+    [(s, kind) for kind in ("interval", "rectangle") for s in sorted(STUDIES)],
+    ids=[s if kind == "interval" else f"{s}-rectangle"
+         for kind in ("interval", "rectangle") for s in sorted(STUDIES)],
+)
+def test_table_keys_are_the_keys_read(study, kind, tmp_path):
+    # a file key is accepted iff it is a parameter of the study's function,
+    # study, domain or a length of the domain
+    signature = inspect.signature(getattr(experiments, STUDIES[study]))
+    params = signature.parameters
+    _, args = parse_config(None, {"study": study, "domain": kind})
+    assert args.arguments["domain"].kind == kind
+    assert list(signature.bind(*args.args, **args.kwargs).arguments) == list(params)
+
+    lengths = {"interval": {"L"}, "rectangle": {"Lx", "Ly"}}[kind]
+    assert set(_VALUES) == set(CONFIG_KEYS) - {"study", "domain"}
+    accepted = set()
+    for key, value in _VALUES.items():
+        cfg = write_config(tmp_path, f"study = {study}\ndomain = {kind}\n{key} = {value}\n")
+        try:
+            parsed = parse_config(cfg)[1].arguments
+        except ValueError as err:
+            assert f"does not read config keys {key}" in str(err)
+            continue
+        accepted.add(key)
+        if key in params:
+            assert parsed[key] == CONFIG_KEYS[key](value)
+    assert accepted == (set(params) & set(CONFIG_KEYS)) - {"domain"} | lengths
 
 
 class TestMain:
@@ -203,7 +257,6 @@ class TestRefusedAtParseTime:
     @pytest.mark.parametrize(
         "text",
         [
-            "study = study-strong\n",  # the defaults: 8 does not divide N = 100
             "study = study-strong\nn = 100\nN = 256\n",  # 8 does not divide n
             "study = study-strong\nn = 8\nN = 64\n",  # one cell on the coarsest level
             "study = study-strong\nfactor = 1\n",
@@ -218,6 +271,13 @@ class TestRefusedAtParseTime:
         study = text.split("\n")[0].split(" = ")[1]
         assert f"study {study!r}" in capsys.readouterr().err
         assert not (out / "manifest.txt").exists()
+
+    def test_bare_strong_parses_to_the_criterion_7_hierarchy(self):
+        study, args = parse_config(None, {"study": "study-strong"})
+        assert study == "study-strong"
+        assert {k: args.arguments[k] for k in ("n", "N", "levels", "factor", "M")} == dict(
+            n=128, N=256, levels=4, factor=2, M=64
+        )
 
     def test_key_the_study_does_not_read_exits_2(self, tmp_path, capsys):
         out = tmp_path / "unread"
@@ -246,12 +306,11 @@ class TestRefusedAtParseTime:
 class TestRectangle:
     @pytest.mark.parametrize("study", sorted(STUDIES))
     def test_every_study_parses(self, study):
-        # N = 64 nests in the study-strong ladder; the schema default N = 100 does not
-        b = parse_config(None, {"study": study, "domain": "rectangle", "N": "64"})
-        entry = STUDIES[study]
-        view = Bundle({k: b.values[k] for k in ("study", "domain", "Lx", "Ly", *entry.keys)})
-        params = inspect.signature(getattr(experiments, entry.function)).parameters
-        assert set(entry.kwargs(view)) <= set(params) - {"domain"}
+        # the rectangle, with the study's rectangle sweep in place of its interval default
+        _, args = parse_config(None, {"study": study, "domain": "rectangle", "Ly": "2"})
+        assert args.arguments["domain"] == DomainSpec.rectangle(1.0, 2.0)
+        for key, value in RECTANGLE_SWEEPS.get(study, {}).items():
+            assert args.arguments[key] == value
 
     def test_strong_exits_0_and_writes_the_mesh_diameter(self, tmp_path):
         cfg = write_config(

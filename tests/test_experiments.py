@@ -211,7 +211,7 @@ class TestStochConvAgainstPerStep:
 
 class TestTinyStrong:
     def test_structure_and_worker_invariance(self):
-        kwargs = dict(finest=(32, 64), n_levels=3, T=0.05, M=6, J=16)
+        kwargs = dict(n=32, N=64, levels=3, T=0.05, M=6, J=16)
         r1 = strong_convergence_study(workers=1, **kwargs)
         r2 = strong_convergence_study(workers=2, **kwargs)
         levels1 = r1.results[0].levels
@@ -222,10 +222,20 @@ class TestTinyStrong:
         # coarser level carries the larger error even at desk scale
         assert levels1[0].error > levels1[1].error
 
+    def test_rectangle_sup_is_not_the_initial_projection(self):
+        # the n = 0 term is the same in every sample, so a sup taken there has no spread
+        report = strong_convergence_study(
+            domain=DomainSpec.rectangle(1.0, 1.0), n=8, N=16, levels=3, T=0.05, M=4, J=8
+        )
+        assert all(lv.stderr > 0 for lv in report.results[0].levels)
+
 
 class TestTinyMoments:
     def test_ladder(self):
-        report = moment_bound_study(ladder=((16, 16), (32, 32)), T=0.05, M=4, J=16)
+        report = moment_bound_study(n=16, N=16, T=0.05, M=4, J=16)
+        assert [lv.level for lv in report.results[0].levels] == [
+            "n=16,N=16", "n=32,N=32", "n=64,N=64"
+        ]
         named = {c.name: c for c in report.checks}
         assert named["mass deviation <= 1e-10"].ok
         assert named["no Newton failures"].ok
@@ -236,18 +246,20 @@ class TestTinyMoments:
 
     def test_rectangle_h_is_mesh_diameter(self, tmp_path):
         report = moment_bound_study(
-            domain=DomainSpec.rectangle(1.0, 1.0), ladder=((4, 4), (8, 8)), T=0.01, M=2, J=8
+            domain=DomainSpec.rectangle(1.0, 1.0), n=4, N=4, T=0.01, M=2, J=8
         )
         path = tmp_path / "moments.csv"
         write_csv(path, CSV_HEADER, report.rows())
         with open(path, newline="") as fh:
             hs = [float(row["h"]) for row in csv.DictReader(fh)]
-        assert hs == pytest.approx([np.sqrt(2.0) / 4.0, np.sqrt(2.0) / 8.0], rel=1e-15)
+        assert hs == pytest.approx(
+            [np.sqrt(2.0) / 4.0, np.sqrt(2.0) / 8.0, np.sqrt(2.0) / 16.0], rel=1e-15
+        )
 
 
 class TestNewtonFailures:
     def test_strong_keeps_the_message(self, first_config_fails):
-        report = strong_convergence_study(finest=(16, 16), n_levels=3, T=0.01, M=3, J=8)
+        report = strong_convergence_study(n=16, N=16, levels=3, T=0.01, M=3, J=8)
         [message] = report.extra["failures"]
         assert message.startswith("sample 0: n=16,N=16: step 1: Newton stalled at residual")
         assert "after 0 iterations" in message
@@ -256,7 +268,7 @@ class TestNewtonFailures:
         assert not named["no Newton failures"].ok
 
     def test_moments_keep_the_message(self, first_config_fails):
-        report = moment_bound_study(ladder=((8, 8), (16, 16)), T=0.01, M=3, J=8)
+        report = moment_bound_study(n=8, N=8, T=0.01, M=3, J=8)
         [message] = report.extra["failures"]
         assert message.startswith("sample 0: n=8,N=8: step 1: Newton stalled at residual")
         named = {c.name: c for c in report.checks}
@@ -265,7 +277,7 @@ class TestNewtonFailures:
 
 class TestTinyHolder:
     def test_quotients_finite(self):
-        report = holder_probe(n=16, N_fine=64, factors=(2, 1), T=0.05, J=16)
+        report = holder_probe(n=16, N=64, factors=(2, 1), T=0.05, J=16)
         quots = report.extra["quotients"]
         assert set(quots) == {2, 1}
         assert all(np.isfinite(v) and v > 0 for q in quots.values() for v in q.values())

@@ -42,7 +42,7 @@ class TestMeshes:
 
     def test_rectangle_counts(self):
         m = build_rectangle_mesh(1.0, 1.0, 2, 2)
-        assert m.n_cells == 8
+        assert m.cells.shape[0] == 8
         assert m.n_vertices == 9
         assert m.h == pytest.approx(np.sqrt(2.0) / 2.0)
 

@@ -111,7 +111,7 @@ class TestNormAlpha:
         c = np.array([0.0, 0.3, -0.2, 0.1])
         v = SpectralField(self.basis, c)
         for alpha in (-1.0, 0.0, 1.0, 2.0):
-            assert norm_alpha(v.scaled(-3.0), alpha) == pytest.approx(
+            assert norm_alpha(SpectralField(self.basis, -3.0 * c), alpha) == pytest.approx(
                 3.0 * norm_alpha(v, alpha)
             )
 
