@@ -269,6 +269,10 @@ class OperatorSet:
             self._quad[npts] = quadrature_points(self.mesh, npts)
         return self._quad[npts]
 
+    def scatter(self, local: np.ndarray) -> np.ndarray:
+        """Sum per-cell values ``local[c, i]`` onto the vertices ``cells[c, i]``."""
+        return np.bincount(self.mesh.cells.ravel(), local.ravel(), minlength=self.n_dofs)
+
     def newton_system(self, k: float) -> NewtonSystem:
         """The backward Euler Newton system of time step k, built once per k."""
         if k not in self._newton:
@@ -358,29 +362,16 @@ class FemFunction:
         if self.values.shape != (self.mesh.n_vertices,):
             raise ValueError("nodal vector length must match the vertex count")
 
-    def at_quadrature(self, pts_shapes) -> np.ndarray:
-        """Values at quadrature points given (points, weights, shapes)."""
-        _, _, shapes = pts_shapes
-        nodal = self.values[self.mesh.cells]  # (nc, nloc)
-        return nodal @ shapes.T  # (nc, nq)
+
+def load_vector(ops: OperatorSet, v: FieldLike) -> np.ndarray:
+    """b_i = int v phi_i dx by the Gauss rule ``points_for_field`` sizes for v."""
+    pts, wts, shapes = ops.quadrature(points_for_field(ops.mesh, v))
+    return ops.scatter(np.einsum("cq,cq,ql->cl", wts, v(pts), shapes))
 
 
-def load_vector(ops: OperatorSet, v: FieldLike, npts: int | None = None) -> np.ndarray:
-    """b_i = int v phi_i dx by Gauss quadrature."""
-    if npts is None:
-        npts = points_for_field(ops.mesh, v)
-    pts, wts, shapes = ops.quadrature(npts)
-    vals = v(pts)  # (nc, nq)
-    contrib = np.einsum("cq,cq,ql->cl", wts, vals, shapes)
-    b = np.zeros(ops.n_dofs)
-    np.add.at(b, ops.mesh.cells, contrib)
-    return b
-
-
-def project_l2(v: FieldLike, ops: OperatorSet, npts: int | None = None) -> FemFunction:
+def project_l2(v: FieldLike, ops: OperatorSet) -> FemFunction:
     """Orthogonal L2 projection onto the P1 space: solve M c = b."""
-    b = load_vector(ops, v, npts)
-    return FemFunction(ops.mesh, ops.solve_M(b))
+    return FemFunction(ops.mesh, ops.solve_M(load_vector(ops, v)))
 
 
 def ritz_project(v: SpectralField, ops: OperatorSet) -> FemFunction:
@@ -390,8 +381,8 @@ def ritz_project(v: SpectralField, ops: OperatorSet) -> FemFunction:
     after integration by parts (no boundary term under Neumann data).
     """
     lam = v.basis.eigenvalues
-    Av = SpectralField(v.basis, lam * v.coeffs)
-    g = load_vector(ops, Av, points_for_field(ops.mesh, v))
+    Av = SpectralField(v.basis, lam * v.coeffs)  # same basis, so the same rule as v
+    g = load_vector(ops, Av)
     c = ops.solve_K_mean(g, v.mean)
     return FemFunction(ops.mesh, c)
 
@@ -442,8 +433,8 @@ def discrete_norm_alpha(
     return float(np.sqrt(np.sum(lam**alpha * c[1:] ** 2)))
 
 
-def minus_one_norm_cg(v: FemFunction, ops: OperatorSet, rtol: float = 1e-12) -> float:
-    """|v|_{-1,h} without the dense spectrum: solve K y = M v on zero-mean.
+def minus_one_norm(v: FemFunction, ops: OperatorSet) -> float:
+    """|v|_{-1,h} without the dense spectrum: one LU solve of K y = M v on zero-mean.
 
     |v|_{-1,h}^2 = <A_h^{-1} v, v>_M = y^T M v with y the mean-free solution.
     """
@@ -452,13 +443,10 @@ def minus_one_norm_cg(v: FemFunction, ops: OperatorSet, rtol: float = 1e-12) -> 
     return float(np.sqrt(max(0.0, y @ b)))
 
 
-def l2_error(v: FieldLike, u: FemFunction, ops: OperatorSet, npts: int | None = None) -> float:
+def l2_error(v: FieldLike, u: FemFunction, ops: OperatorSet) -> float:
     """||v - u||_{L2} by quadrature of the pointwise difference."""
-    if npts is None:
-        npts = points_for_field(ops.mesh, v, base=4)
-    pts_wts_shapes = ops.quadrature(npts)
-    pts, wts, _ = pts_wts_shapes
-    diff = v(pts) - u.at_quadrature(pts_wts_shapes)
+    pts, wts, shapes = ops.quadrature(points_for_field(ops.mesh, v, base=4))
+    diff = v(pts) - u.values[ops.mesh.cells] @ shapes.T
     return float(np.sqrt(np.sum(wts * diff**2)))
 
 

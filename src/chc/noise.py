@@ -28,8 +28,6 @@ __all__ = [
     "field_coefficients",
 ]
 
-_TAYLOR_SWITCH = 1e-6
-
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -120,6 +118,13 @@ def project_increment(dW: SpectralField, ops: OperatorSet) -> FemFunction:
     return FemFunction(ops.mesh, ops.project_modes(dW.basis, dW.coeffs))
 
 
+def _phi1(x):
+    """(1 - exp(-x)) / x; below 1e-8 it is 1 - x/2, off by x^2/6 < half an ulp of 1."""
+    x = np.asarray(x, dtype=float)
+    safe = np.where(x < 1e-8, 1.0, x)
+    return np.where(x < 1e-8, 1.0 - x / 2.0, -np.expm1(-safe) / safe)
+
+
 def convolution_pair_from_normals(lam, k: float, z1, z2):
     """Transform iid standard normals into the joint pair (dbeta, I).
 
@@ -127,26 +132,13 @@ def convolution_pair_from_normals(lam, k: float, z1, z2):
     I = int exp(-lam^2 (t_end - s)) dbeta(s) over the same step; the pair
     is jointly Gaussian with Var(dbeta) = k,
     Var(I) = (1 - exp(-2 mu)) / (2 lam^2) and
-    Cov = (1 - exp(-mu)) / lam^2 where mu = lam^2 k.  For mu below 1e-6
-    the variance ratios switch to 4th-order Taylor series in mu.
+    Cov = (1 - exp(-mu)) / lam^2 where mu = lam^2 k, that is
+    Var(I) = k phi1(2 mu) and Cov = k phi1(mu) with phi1(x) = (1 - e^{-x}) / x,
+    which takes its series branch for x below 1e-8.
     """
-    lam = np.asarray(lam, dtype=float)
-    mu = lam**2 * k
-    small = mu < _TAYLOR_SWITCH
-    mu_s = np.where(small, 0.0, mu)  # silence 0/0 in the closed form
-    with np.errstate(divide="ignore", invalid="ignore"):
-        var_ratio = np.where(
-            small,
-            1.0 - mu + (2.0 / 3.0) * mu**2 - (1.0 / 3.0) * mu**3 + (2.0 / 15.0) * mu**4,
-            -np.expm1(-2.0 * mu_s) / (2.0 * mu_s),
-        )
-        cov_ratio = np.where(
-            small,
-            1.0 - mu / 2.0 + mu**2 / 6.0 - mu**3 / 24.0 + mu**4 / 120.0,
-            -np.expm1(-mu_s) / mu_s,
-        )
-    var_I = k * var_ratio  # (1 - e^{-2mu}) / (2 lam^2)
-    cov = k * cov_ratio  # (1 - e^{-mu}) / lam^2
+    mu = np.asarray(lam, dtype=float) ** 2 * k
+    var_I = k * _phi1(2.0 * mu)
+    cov = k * _phi1(mu)
 
     dbeta = np.sqrt(k) * np.asarray(z1)
     cond_var = np.maximum(var_I - cov**2 / k, 0.0)

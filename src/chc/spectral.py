@@ -176,26 +176,16 @@ class SpectralField:
         return SpectralField(basis, c)
 
 
-def norm_alpha(v: SpectralField, alpha: float, dotted: bool = True) -> float:
-    """Fractional norm of order alpha.
-
-    dotted=True gives |v|_alpha = (sum_{j>=1} lambda_j^alpha c_j^2)^(1/2),
-    which ignores the constant mode; dotted=False additionally includes
-    |c_0|^2 and requires alpha >= 0.
-    """
+def norm_alpha(v: SpectralField, alpha: float) -> float:
+    """|v|_alpha = (sum_{j>=1} lambda_j^alpha c_j^2)^(1/2); ignores the constant mode."""
     lam = v.basis.eigenvalues[1:]
     c = v.coeffs[1:]
     if alpha < 0:
-        if not dotted:
-            raise ValueError("full norm is only defined for alpha >= 0")
         if abs(v.coeffs[0]) > 1e-14:
             raise ValueError("negative-order seminorm requires a zero-mean field")
         nz = c != 0.0
         lam, c = lam[nz], c[nz]
-    dotted_sq = float(np.sum(lam**alpha * c**2)) if len(c) else 0.0
-    if dotted:
-        return np.sqrt(dotted_sq)
-    return np.sqrt(dotted_sq + v.coeffs[0] ** 2)
+    return np.sqrt(float(np.sum(lam**alpha * c**2)))
 
 
 def semigroup_apply(v: SpectralField, t: float) -> SpectralField:

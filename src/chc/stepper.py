@@ -72,7 +72,6 @@ class State:
 class StepDiagnostics:
     newton_iters: int
     factorizations: int
-    residual: float
     mass: float
     J: float
     Y_h1: float  # |Y|_1
@@ -93,8 +92,7 @@ class ChordLU:
 def _nonlinear_load(ops: OperatorSet, pot: Potential, vals: np.ndarray, quad):
     """b_i = int f(X) phi_i dx from X at the quadrature points, vals[c, q]."""
     _, wts, shapes = quad
-    contrib = (wts * pot.f(vals)) @ shapes  # (nc, nloc)
-    return np.bincount(ops.mesh.cells.ravel(), contrib.ravel(), minlength=ops.n_dofs)
+    return ops.scatter((wts * pot.f(vals)) @ shapes)
 
 
 def functional_F(X: FemFunction, pot: Potential, ops: OperatorSet) -> float:
@@ -124,7 +122,9 @@ def dissipativity_check(pot: Potential, fields: list, ops: OperatorSet) -> float
 def chemical_potential(X: FemFunction, ops: OperatorSet, pot: Potential) -> FemFunction:
     """Y with M Y = K X + b(X); the discrete chemical potential."""
     quad = ops.quadrature(QUAD_NPTS)
-    rhs = ops.K @ X.values + _nonlinear_load(ops, pot, X.at_quadrature(quad), quad)
+    _, _, shapes = quad
+    vals = X.values[ops.mesh.cells] @ shapes.T
+    rhs = ops.K @ X.values + _nonlinear_load(ops, pot, vals, quad)
     return FemFunction(ops.mesh, ops.solve_M(rhs))
 
 
@@ -190,7 +190,6 @@ def backward_euler_step(
     diag = StepDiagnostics(
         newton_iters=iters,
         factorizations=chord.count - count0,
-        residual=res,
         mass=ops.mean(x),
         J=lyapunov_J(X_new, ops, pot),
         Y_h1=float(np.sqrt(max(0.0, y @ (ops.K @ y)))),
@@ -227,38 +226,30 @@ def energy_residual(
 
 def run_trajectory(
     X0: FemFunction,
-    dW_fields: list[FemFunction] | None,
+    dW_fields: list[FemFunction],
     cfg: StepperConfig,
     ops: OperatorSet,
     pot: Potential,
-    n_steps: int | None = None,
     store: str = "none",
 ) -> tuple[list[State], list[StepDiagnostics]]:
-    """March N backward Euler steps from X0.
+    """March one backward Euler step from X0 per projected increment in dW_fields.
 
-    dW_fields holds one projected increment per step (None means a
-    deterministic run).  ``store`` is "all" or "none"; the initial and final
-    states are always kept.
+    ``store`` is "all" or "none"; the initial and final states are always
+    kept.
     """
-    if n_steps is None:
-        n_steps = len(dW_fields) if dW_fields is not None else 0
-    if dW_fields is not None and len(dW_fields) != n_steps:
-        raise ValueError("need one increment per step")
     if store not in ("all", "none"):
         raise ValueError(f"store must be 'all' or 'none', not {store!r}")
-    zero = FemFunction(ops.mesh, np.zeros(ops.n_dofs))
     chord = ChordLU()  # never shared across trajectories: samples stay independent
 
     state = State(X0, chemical_potential(X0, ops, pot), 0, 0.0)
     states = [state]
     diags = []
-    for j in range(n_steps):
-        dW = dW_fields[j] if dW_fields is not None else zero
+    for j, dW in enumerate(dW_fields):
         try:
             state, diag = backward_euler_step(state, dW, cfg, ops, pot, chord)
         except NewtonError as err:
             raise NewtonError(f"step {j + 1}: {err}") from err
         diags.append(diag)
-        if store == "all" or state.step == n_steps:
+        if store == "all" or state.step == len(dW_fields):
             states.append(state)
     return states, diags

@@ -13,7 +13,7 @@ from chc.fem import (
     discrete_norm_alpha,
     discrete_spectrum,
     l2_error,
-    minus_one_norm_cg,
+    minus_one_norm,
     project_l2,
     prolong,
     ritz_project,
@@ -95,7 +95,7 @@ class TestProjectors:
         ops = assemble(mesh)
         v = FemFunction(mesh, np.sin(3 * mesh.vertices))
         # the P1 function itself, evaluated by linear interpolation of its nodal values
-        again = project_l2(lambda x: np.interp(x, mesh.vertices, v.values), ops, npts=3)
+        again = project_l2(lambda x: np.interp(x, mesh.vertices, v.values), ops)
         assert np.max(np.abs(again.values - v.values)) < 1e-12
 
     def test_project_rate_two(self):
@@ -216,8 +216,8 @@ class TestDiscreteNorms:
         with pytest.raises(ValueError):
             discrete_norm_alpha(w, -1.0, self.spec)
 
-    def test_cg_fallback_matches(self):
-        got = minus_one_norm_cg(self.v, self.ops)
+    def test_minus_one_norm_matches(self):
+        got = minus_one_norm(self.v, self.ops)
         expect = discrete_norm_alpha(self.v, -1.0, self.spec)
         assert got == pytest.approx(expect, rel=1e-8)
 

@@ -6,6 +6,7 @@ import pytest
 from chc.fem import assemble, build_interval_mesh, build_rectangle_mesh, project_l2
 from chc.noise import (
     NoiseSpec,
+    _phi1,
     brute_force_pair_moments,
     convolution_pair_from_normals,
     field_coefficients,
@@ -156,6 +157,14 @@ class TestProjection:
 
 
 class TestConvolutionPair:
+    @pytest.mark.parametrize("x", [0.0, 1e-12, 5e-9, 1e-8, 2e-8, 1e-6, 1e-3, 1.0, 40.0])
+    def test_phi1_within_2_ulp(self, x):
+        # reference in extended precision; -expm1 spares it the cancellation of 1 - e^{-x}
+        xl = np.longdouble(x)
+        ref = np.longdouble(1.0) if x == 0.0 else -np.expm1(-xl) / xl
+        got = _phi1(x)
+        assert abs(np.longdouble(got) - ref) <= 2 * np.spacing(np.float64(ref))
+
     def test_lambda_zero_identity(self):
         rng = np.random.default_rng(0)
         z1, z2 = rng.standard_normal(100), rng.standard_normal(100)

@@ -93,7 +93,8 @@ class TestNormAlpha:
     def test_constant_mode_norms(self):
         v = SpectralField.single_mode(self.basis, 0)
         assert norm_alpha(v, 0.0) == 0.0
-        assert norm_alpha(v, 0.0, dotted=False) == pytest.approx(1.0)
+        # the full L2 norm adds the constant coefficient back
+        assert np.hypot(norm_alpha(v, 0.0), v.coeffs[0]) == pytest.approx(1.0)
 
     def test_negative_order(self):
         c = np.zeros(4)

@@ -146,7 +146,7 @@ class TestSingleStep:
 class TestTrajectory:
     def test_zero_steps(self, ops, dw):
         X0 = constant_field(ops, 0.5)
-        states, diags = run_trajectory(X0, None, StepperConfig(k=1e-3), ops, dw)
+        states, diags = run_trajectory(X0, [], StepperConfig(k=1e-3), ops, dw)
         assert len(states) == 1 and diags == []
 
     def test_store_modes(self, ops, dw):
@@ -161,16 +161,11 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="store must be"):
             run_trajectory(X0, dWs, cfg, ops, dw, store="strided")
 
-    def test_length_mismatch(self, ops, dw):
-        X0 = constant_field(ops, 0.5)
-        with pytest.raises(ValueError):
-            run_trajectory(X0, noisy_increments(ops, 3, 3e-3), StepperConfig(k=1e-3), ops, dw, n_steps=5)
-
     def test_deterministic_energy_decay(self, ops, dw):
         basis = build_basis(DomainSpec.interval(1.0), 8)
         X0 = project_l2(SpectralField(basis, np.array([0.0, 0.4, 0.0, 0.2, 0, 0, 0, 0])), ops)
         cfg = StepperConfig(k=5e-4)
-        _, diags = run_trajectory(X0, None, cfg, ops, dw, n_steps=40)
+        _, diags = run_trajectory(X0, [constant_field(ops, 0.0)] * 40, cfg, ops, dw)
         J = [lyapunov_J(X0, ops, dw)] + [d.J for d in diags]
         assert np.all(np.diff(J) <= 1e-12)
 
